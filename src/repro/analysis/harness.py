@@ -37,6 +37,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.common.cachedir import cache_root
 from repro.common.config import CoreConfig
 from repro.common.statistics import ConfidenceInterval, Histogram
 from repro.core.simulator import SimResult, Simulator
@@ -49,7 +50,6 @@ __all__ = ["CACHE_SCHEMA_VERSION", "bench_windows", "cache_path",
            "serialize_result", "store_cache_payload", "sweep",
            "sweep_configs", "using_sampling"]
 
-_CACHE_ENV = "REPRO_CACHE_DIR"
 _SCALE_ENV = "REPRO_BENCH_SCALE"
 
 #: Bump whenever the cache payload format or the signature scheme changes:
@@ -75,11 +75,9 @@ def bench_windows() -> Tuple[int, int]:
 
 
 def cache_path() -> Path:
-    root = os.environ.get(_CACHE_ENV)
-    if root:
-        path = Path(root)
-    else:
-        path = Path(__file__).resolve().parents[3] / "benchmarks" / ".cache"
+    """The cache root (see :func:`repro.common.cachedir.cache_root`),
+    created if missing."""
+    path = cache_root()
     path.mkdir(parents=True, exist_ok=True)
     return path
 

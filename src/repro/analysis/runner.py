@@ -303,7 +303,10 @@ class JobEvent:
     ``kind`` is one of:
 
     * ``"started"`` — a worker process was launched for the job
-      (``attempts`` counts this launch).
+      (``attempts`` counts this launch; ``started_at`` is the
+      ``time.monotonic()`` of the launch, since a job that ends within
+      one :meth:`JobExecutor.step` arrives in the same batch as its
+      ``"ok"``).
     * ``"retry"`` — the attempt crashed / timed out / raised and the job
       was re-enqueued; ``error`` holds the failure text.
     * ``"ok"`` — terminal success; ``payload`` is the serialised result.
@@ -319,6 +322,7 @@ class JobEvent:
     payload: Optional[dict] = None
     error: Optional[str] = None
     wall_time: float = 0.0
+    started_at: float = 0.0
 
 
 class JobExecutor:
@@ -391,7 +395,8 @@ class JobExecutor:
         while self._pending and len(self._running) < self.slots:
             task = self._pending.popleft()
             self._launch(task)
-            events.append(JobEvent("started", task.job, task.attempts))
+            events.append(JobEvent("started", task.job, task.attempts,
+                                   started_at=task.started))
         if not self._running:
             return events
 

@@ -673,11 +673,10 @@ def _cmd_bench(args) -> int:
 def _cmd_trace(args) -> int:
     from repro.analysis.pipeview import PipeTracer
     from repro.core.ooo_core import OoOCore
-    from repro.workloads.profiles import build_workload, workload_trace
+    from repro.workloads.profiles import load_workload
 
     config = config_from_args(args)
-    program = build_workload(args.workload)
-    trace = workload_trace(args.workload, args.instructions)
+    program, trace = load_workload(args.workload, args.instructions)
     core = OoOCore(config, program, trace, seed=args.seed)
     recorder = EventRecorder(capacity=args.capacity)
     tracer = PipeTracer(core, attach=False)
@@ -936,9 +935,9 @@ def _cmd_list(_args) -> int:
 
 def _cmd_characterize(args) -> int:
     from repro.analysis.characterize import characterize
-    from repro.workloads.profiles import workload_trace
-    profile = characterize(workload_trace(args.workload,
-                                          args.instructions))
+    from repro.workloads.profiles import load_workload
+    _program, trace = load_workload(args.workload, args.instructions)
+    profile = characterize(trace)
     rows = list(profile.summary_rows())
     rows += [(f"branch mix: {kind}", f"{fraction:.4f}")
              for kind, fraction in profile.branch_mix.items()]

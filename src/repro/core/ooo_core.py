@@ -149,14 +149,19 @@ class OoOCore:
         self._ftq_entries = config.frontend.fetch_queue_entries
         self._trim_mask = config.exec_trim_mask
         self._trim_horizon = config.exec_trim_horizon
-        self._scheme = apf_cfg.fetch_scheme if apf_cfg.enabled else None
+        # the scheme is compared by value once, here: a config that went
+        # through pickle (a spawned worker) holds equal, not identical,
+        # strings
+        scheme = apf_cfg.fetch_scheme if apf_cfg.enabled else None
+        self._time_shared = scheme == FetchScheme.TIME_SHARED
+        self._dual_port = scheme == FetchScheme.DUAL_PORT
         self._ts_main = apf_cfg.timeshare_main_cycles
         self._ts_period = (apf_cfg.timeshare_main_cycles
                            + apf_cfg.timeshare_alt_cycles)
 
         # Only the BANKED scheme ever reads the per-cycle bank sets, so
         # every other configuration skips that bookkeeping.
-        self.fetch.publish_banks = self._scheme is FetchScheme.BANKED
+        self.fetch.publish_banks = scheme == FetchScheme.BANKED
         self._done_scratch = [0] * config.frontend.width
         #: env-gated debug mode: re-derive every skipped window's no-op
         #: conditions from first principles (next_wakeup contract checks)
@@ -1455,8 +1460,7 @@ class OoOCore:
         if apf is None:
             self._main_fetch()
             return
-        scheme = self._scheme
-        if scheme is FetchScheme.TIME_SHARED:
+        if self._time_shared:
             apf_turn = (self.now % self._ts_period) >= self._ts_main
             # only give the cycle to the alternate path if it can actually
             # fetch: an active job, or a startable candidate on a free pipe
@@ -1479,7 +1483,7 @@ class OoOCore:
             return
         # banked / dual-port: both paths run every cycle
         fetched = self._main_fetch()
-        if scheme is FetchScheme.DUAL_PORT or not fetched:
+        if self._dual_port or not fetched:
             blocked_tage: set = set()
             blocked_icache: set = set()
         else:

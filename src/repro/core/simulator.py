@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 
 from repro.common.config import CoreConfig, small_core_config
 from repro.common.statistics import ConfidenceInterval, Histogram, ratio
-from repro.workloads.profiles import build_workload, workload_trace
+from repro.workloads.profiles import load_workload
 from repro.workloads.program import Program
 from repro.workloads.trace import DynamicTrace
 
@@ -82,10 +82,10 @@ class Simulator:
         """Simulate ``warmup + measure`` instructions; report the measured
         window."""
         total = warmup + measure
-        if program is None:
-            program = build_workload(workload)
-        if trace is None:
-            trace = workload_trace(workload, total)
+        if program is None or trace is None:
+            stored_program, stored_trace = load_workload(workload, total)
+            program = stored_program if program is None else program
+            trace = stored_trace if trace is None else trace
         core = OoOCore(self.config, program, trace, seed=self.seed)
         core.run(total, warmup=warmup)
         counters = {key: core.measured(key)

@@ -18,6 +18,14 @@ from repro.isa.opcodes import (
 
 __all__ = ["StaticUop"]
 
+#: op -> (kind, is_branch, is_cond_branch, is_mem), so building a uop is
+#: one lookup (a program loaded from a trace bundle builds thousands)
+_TRAITS = {
+    op: (branch_kind(op), op in BRANCH_OPS,
+         branch_kind(op) is BranchKind.CONDITIONAL, op in MEMORY_OPS)
+    for op in Op
+}
+
 
 class StaticUop:
     """One instruction in the static program image."""
@@ -35,10 +43,8 @@ class StaticUop:
         self.src2 = src2
         self.imm = imm
         self.target = target          # taken target for direct branches
-        self.kind: BranchKind = branch_kind(op)
-        self.is_branch = op in BRANCH_OPS
-        self.is_cond_branch = self.kind is BranchKind.CONDITIONAL
-        self.is_mem = op in MEMORY_OPS
+        (self.kind, self.is_branch, self.is_cond_branch,
+         self.is_mem) = _TRAITS[op]
         self.label = label            # optional debugging tag
 
     @property

@@ -28,7 +28,7 @@ from typing import Dict, Optional
 
 from repro.common.config import CoreConfig, small_core_config
 from repro.common.statistics import ConfidenceInterval, Histogram, ratio
-from repro.workloads.profiles import build_workload, workload_trace
+from repro.workloads.profiles import load_workload
 from repro.workloads.program import Program
 from repro.workloads.trace import DynamicTrace
 
@@ -53,10 +53,11 @@ class SamplingSimulator:
     def run(self, workload: str, plan: SamplingPlan,
             program: Optional[Program] = None,
             trace: Optional[DynamicTrace] = None) -> SimResult:
-        if program is None:
-            program = build_workload(workload)
-        if trace is None:
-            trace = workload_trace(workload, plan.total_instructions)
+        if program is None or trace is None:
+            stored_program, stored_trace = load_workload(
+                workload, plan.total_instructions)
+            program = stored_program if program is None else program
+            trace = stored_trace if trace is None else trace
         plan = plan.scaled_to_trace(len(trace))
         core = OoOCore(self.config, program, trace, seed=self.seed)
         warmer = FunctionalWarmer(core)

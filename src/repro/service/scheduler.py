@@ -350,7 +350,7 @@ class ServiceScheduler:
         if event.kind == "started":
             self.telemetry.job_event(key, "started", owner,
                                      attempt=event.attempts)
-            self.tracer.job_started(key)
+            self.tracer.job_started(key, started_at=event.started_at)
             return
         if event.kind == "retry":
             self.telemetry.job_event(key, "retry", owner,

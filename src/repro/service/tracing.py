@@ -187,7 +187,11 @@ class RequestTracer:
                          "commit", "e2e")}
 
     def now_us(self) -> int:
-        return int((time.monotonic() - self._epoch_mono) * 1e6)
+        return self.to_us(time.monotonic())
+
+    def to_us(self, monotonic: float) -> int:
+        """A ``time.monotonic()`` value on this tracer's clock."""
+        return int((monotonic - self._epoch_mono) * 1e6)
 
     # -- instrumentation points (scheduler thread) -------------------------
 
@@ -249,21 +253,26 @@ class RequestTracer:
                     (now - timing.queued_at) / 1e6)
                 timing.queued_at = None
 
-    def job_started(self, key: str) -> None:
+    def job_started(self, key: str, started_at: float) -> None:
+        """``key``'s worker launched at ``started_at`` (a
+        ``time.monotonic()`` value). The executor reports a launch after
+        the fact, in the same batch as the outcome when the job ends
+        within one step, so the launch time, not the time this call is
+        made, opens the execute span."""
         with self._lock:
             timing = self._jobs.get(key)
             if timing is None:
                 return
-            now = self.now_us()
+            launched = self.to_us(started_at)
             if timing.exec_start is None:
-                timing.exec_start = now
+                timing.exec_start = launched
             if timing.dispatch_at is not None:
                 trace = self._live.get(timing.trace_id)
                 if trace is not None:
-                    trace.add("claim_wait", timing.dispatch_at, now,
+                    trace.add("claim_wait", timing.dispatch_at, launched,
                               key=key, label=timing.label)
                 self.histograms["claim_wait"].observe(
-                    (now - timing.dispatch_at) / 1e6)
+                    (launched - timing.dispatch_at) / 1e6)
                 timing.dispatch_at = None
 
     def job_finished(self, key: str, ok: bool = True,

@@ -9,6 +9,7 @@ from repro.workloads.profiles import (
     SPEC_NAMES,
     build_workload,
     clear_trace_cache,
+    load_workload,
     workload_trace,
 )
 from repro.workloads.program import Program, ProgramBuilder
@@ -19,6 +20,6 @@ __all__ = [
     "ALL_NAMES", "GAP_NAMES", "SPEC_NAMES", "CSRGraph", "DynamicTrace",
     "EmulationError", "Emulator", "KERNEL_BUILDERS", "Program",
     "ProgramBuilder", "WorkloadProfile", "build_synthetic_program",
-    "build_workload", "clear_trace_cache", "power_law_graph",
-    "uniform_graph", "workload_trace",
+    "build_workload", "clear_trace_cache", "load_workload",
+    "power_law_graph", "uniform_graph", "workload_trace",
 ]

@@ -3,9 +3,10 @@
 Executes a :class:`~repro.workloads.program.Program` to produce the
 correct-path :class:`~repro.workloads.trace.DynamicTrace`. All values are
 64-bit unsigned; comparisons are unsigned. Memory is word-addressed (8-byte
-words) and initialised from the program's data image; uninitialised words
-read as a deterministic hash of their address so wrong-path-reachable data
-is also reproducible.
+words): reads go to the words this run stored, then to the program's data
+image (read through, never copied), and uninitialised words read as a
+deterministic hash of their address so wrong-path-reachable data is also
+reproducible.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ class Emulator:
     def __init__(self, program: Program) -> None:
         self.program = program
         self.regs: List[int] = [0] * NUM_ARCH_REGS
-        self.memory: Dict[int, int] = dict(program.initial_data)
+        self._image = program.initial_data
+        #: words stored during this run, shadowing the image
+        self.memory: Dict[int, int] = {}
         self.call_stack: List[int] = []
         self.pc = program.entry_pc
         self.instructions_executed = 0
@@ -51,8 +54,9 @@ class Emulator:
         aligned = addr & ~(_WORD - 1)
         value = self.memory.get(aligned)
         if value is None:
-            value = _default_memory_value(aligned)
-            self.memory[aligned] = value
+            value = self._image.get(aligned)
+            if value is None:
+                value = _default_memory_value(aligned)
         return value
 
     def write_word(self, addr: int, value: int) -> None:

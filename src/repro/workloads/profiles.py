@@ -6,21 +6,36 @@ calibrated so the baseline core reproduces the per-benchmark branch-MPKI
 xalancbmk/x264 low; exchange2 predictor-capacity-bound). Each GAP benchmark
 is a real graph kernel (:mod:`repro.workloads.kernels`) on a synthetic
 power-law or uniform graph.
+
+:func:`load_workload` is the entry point simulations use. A workload's
+program and trace depend only on (workload, length), so it keeps one
+trace bundle (:mod:`repro.workloads.traceio`) per pair in the workload
+store, ``<cache root>/workloads/``, and every process that simulates the
+pair, forked runner and service workers included, shares one build and
+emulation instead of redoing it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import hashlib
+import importlib
+from pathlib import Path
+from typing import Callable, Dict, Iterable, List, Tuple
 
+from repro.common.cachedir import cache_root
+from repro.isa.opcodes import Op
 from repro.workloads.emulator import Emulator
 from repro.workloads.graphs import power_law_graph, uniform_graph
 from repro.workloads.kernels import KERNEL_BUILDERS
 from repro.workloads.program import Program
 from repro.workloads.synthetic import WorkloadProfile, build_synthetic_program
 from repro.workloads.trace import DynamicTrace
+from repro.workloads.traceio import (TRACE_FORMAT_VERSION, TraceBundleError,
+                                     load_trace, save_trace)
 
 __all__ = ["SPEC_NAMES", "GAP_NAMES", "ALL_NAMES", "build_workload",
-           "workload_trace", "clear_trace_cache"]
+           "workload_trace", "load_workload", "bundle_path",
+           "generator_digest", "clear_trace_cache"]
 
 SPEC_NAMES: List[str] = [
     "perlbench", "gcc", "mcf", "omnetpp", "xalancbmk",
@@ -144,17 +159,101 @@ def build_workload(name: str) -> Program:
 
 
 def workload_trace(name: str, num_instructions: int) -> DynamicTrace:
-    """Emulate ``name`` for ``num_instructions`` and cache the trace."""
-    key = (name, num_instructions)
-    if key in _trace_cache:
-        return _trace_cache[key]
-    program = build_workload(name)
-    trace = Emulator(program).run(num_instructions)
-    _trace_cache[key] = trace
-    return trace
+    """The trace of ``name`` for ``num_instructions``, through
+    :func:`load_workload`."""
+    return load_workload(name, num_instructions)[1]
 
 
 def clear_trace_cache() -> None:
-    """Drop cached traces (tests use this to bound memory)."""
+    """Drop the in-process programs and traces (tests use this to bound
+    memory). The on-disk workload store is left alone."""
     _trace_cache.clear()
     _program_cache.clear()
+
+
+# --------------------------------------------------------------------------
+# The workload store
+# --------------------------------------------------------------------------
+
+#: modules whose source decides a workload's program image or trace
+GENERATOR_MODULES = (
+    "repro.common.rng", "repro.isa.opcodes", "repro.isa.uop",
+    "repro.workloads.emulator", "repro.workloads.graphs",
+    "repro.workloads.kernels", "repro.workloads.profiles",
+    "repro.workloads.program", "repro.workloads.synthetic",
+)
+
+
+def source_digest(paths: Iterable[Path]) -> str:
+    """Short sha256 over the bytes of ``paths``, in order."""
+    digest = hashlib.sha256()
+    for path in paths:
+        data = Path(path).read_bytes()
+        digest.update(f"{Path(path).name}:{len(data)}:".encode())
+        digest.update(data)
+    return digest.hexdigest()[:16]
+
+
+# Read while this module is imported, when every generator module has
+# just been loaded: the digest describes the code this process runs, and
+# a forked worker inherits it, even if the files are edited later.
+_GENERATOR_DIGEST = source_digest(importlib.import_module(name).__file__
+                                  for name in GENERATOR_MODULES)
+
+
+def generator_digest() -> str:
+    """Digest of the :data:`GENERATOR_MODULES` sources as this process
+    loaded them: editing a generator (a ``SPEC_PROFILES`` entry, a
+    kernel, the emulator) changes every bundle key."""
+    return _GENERATOR_DIGEST
+
+
+def bundle_path(name: str, num_instructions: int) -> Path:
+    """Where the store keeps the bundle of (``name``,
+    ``num_instructions``): the key names the pair, the bundle format
+    version and the generator digest."""
+    return (cache_root() / "workloads" /
+            f"{name}-{num_instructions}-v{TRACE_FORMAT_VERSION}-"
+            f"{generator_digest()}.npz")
+
+
+def _complete(trace: DynamicTrace, name: str, num_instructions: int) -> bool:
+    """``trace`` is what emulating ``name`` for ``num_instructions``
+    gives: that many uops, or fewer ending at the program's HALT."""
+    if trace.program_name != name or len(trace) > num_instructions:
+        return False
+    return (len(trace) == num_instructions
+            or (bool(trace.uops) and trace.uops[-1].op is Op.HALT))
+
+
+def load_workload(name: str,
+                  num_instructions: int) -> Tuple[Program, DynamicTrace]:
+    """The program of ``name`` and its trace of ``num_instructions``.
+
+    Looks in this process's caches, then in the workload store; on a
+    miss builds, emulates, and commits the bundle atomically. An
+    unreadable or malformed bundle counts as a miss and is rewritten.
+    A store that cannot be written costs rebuilds, never the result.
+    """
+    key = (name, num_instructions)
+    trace = _trace_cache.get(key)
+    if trace is not None:
+        return _program_cache[name], trace
+    if name not in SPEC_PROFILES and name not in KERNEL_BUILDERS:
+        raise KeyError(f"unknown workload {name!r}; choose from {ALL_NAMES}")
+    path = bundle_path(name, num_instructions)
+    try:
+        program, trace = load_trace(path, _program_cache.get(name))
+    except (FileNotFoundError, TraceBundleError):
+        trace = None
+    if trace is not None and _complete(trace, name, num_instructions):
+        _program_cache.setdefault(name, program)
+    else:
+        program = build_workload(name)
+        trace = Emulator(program).run(num_instructions)
+        try:
+            save_trace(path, program, trace)
+        except OSError:
+            pass
+    _trace_cache[key] = trace
+    return program, trace

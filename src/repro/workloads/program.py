@@ -12,7 +12,7 @@ listings instead of raw uop lists.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.isa.opcodes import NUM_ARCH_REGS, UOP_BYTES, Op
 from repro.isa.uop import StaticUop
@@ -25,10 +25,18 @@ WORD_BYTES = 8
 
 
 class Program:
-    """Immutable static image: code, initial data, and an entry point."""
+    """Immutable static image: code, initial data, and an entry point.
+
+    ``data`` maps word addresses to initial values. It may instead be a
+    zero-argument callable returning that dict: a program loaded from a
+    trace bundle passes one, so the dict is only built if something
+    reads :attr:`initial_data` (the emulator; the timing core never does).
+    The program owns ``data`` from here on; nothing may mutate it.
+    """
 
     def __init__(self, uops: List[StaticUop], entry_pc: int,
-                 data: Dict[int, int], name: str = "program",
+                 data: Union[Dict[int, int], Callable[[], Dict[int, int]]],
+                 name: str = "program",
                  data_base: int = DATA_BASE,
                  data_end: int = DATA_BASE,
                  arrays: Optional[Dict[str, int]] = None) -> None:
@@ -36,7 +44,7 @@ class Program:
         self.entry_pc = entry_pc
         self.code_base = uops[0].pc if uops else CODE_BASE
         self._uops = uops
-        self.initial_data = data
+        self._data = data
         self.data_base = data_base
         self.data_end = max(data_end, data_base + 8)
         self.arrays: Dict[str, int] = dict(arrays or {})
@@ -50,6 +58,14 @@ class Program:
 
     def __len__(self) -> int:
         return len(self._uops)
+
+    @property
+    def initial_data(self) -> Dict[int, int]:
+        """Initial data image: word address -> value."""
+        data = self._data
+        if callable(data):
+            data = self._data = data()
+        return data
 
     @property
     def code_bytes(self) -> int:
@@ -213,12 +229,13 @@ class ProgramBuilder:
     # -- finalisation --------------------------------------------------------
 
     def finalize(self, entry_label: str = "") -> Program:
-        """Resolve fixups and freeze the image."""
+        """Resolve fixups and freeze the image. The program takes over
+        the builder's data dict (no copy): emit nothing after this."""
         for index, label in self._fixups:
             if label not in self._labels:
                 raise ValueError(f"undefined label {label!r}")
             self._uops[index].target = self._labels[label]
         entry = self._labels.get(entry_label, self.code_base)
-        return Program(self._uops, entry, dict(self._data), name=self.name,
+        return Program(self._uops, entry, self._data, name=self.name,
                        data_base=self.data_base, data_end=self._data_cursor,
                        arrays=self._arrays)

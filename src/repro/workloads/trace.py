@@ -31,6 +31,18 @@ class DynamicTrace:
         self.next_pc: List[int] = []
         self.mem_addr: List[int] = []
 
+    @classmethod
+    def from_columns(cls, program_name: str, uops: List[StaticUop],
+                     taken: List[bool], next_pc: List[int],
+                     mem_addr: List[int]) -> "DynamicTrace":
+        """A trace over ready-made columns (taken over, not copied)."""
+        trace = cls(program_name)
+        trace.uops = uops
+        trace.taken = taken
+        trace.next_pc = next_pc
+        trace.mem_addr = mem_addr
+        return trace
+
     def append(self, uop: StaticUop, taken: bool, next_pc: int,
                mem_addr: int) -> None:
         self.uops.append(uop)

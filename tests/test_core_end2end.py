@@ -163,6 +163,25 @@ class TestAPFEndToEnd:
         assert core.measured("apf_restores") == 0
 
 
+class TestPickledConfig:
+    """A config sent to a spawned worker arrives through pickle, with
+    equal but distinct strings; the core must simulate it identically."""
+
+    @pytest.mark.parametrize("scheme", [FetchScheme.BANKED,
+                                        FetchScheme.TIME_SHARED,
+                                        FetchScheme.DUAL_PORT])
+    def test_round_tripped_config_simulates_identically(self, scheme):
+        import pickle
+        cfg = small_core_config().with_apf(fetch_scheme=scheme)
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg
+        assert copy.apf.fetch_scheme is not scheme
+        direct = run_core("perlbench", cfg, total=6_000, warmup=2_000)
+        pickled = run_core("perlbench", copy, total=6_000, warmup=2_000)
+        assert pickled.now == direct.now
+        assert pickled.stats.snapshot() == direct.stats.snapshot()
+
+
 class TestDPIPEndToEnd:
     def test_dpip_runs_and_restores(self):
         cfg = small_core_config().with_apf(

@@ -33,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import harness
+from repro.analysis.runner import JobExecutor
 from repro.obs.metrics import (METRIC_KINDS, using_metric_stream,
                                validate_metric_record)
 from repro.obs.spans import (SPAN_NAMES, SpanError, check_spans,
@@ -374,6 +375,37 @@ class TestTracerScheduler:
         assert 'repro_service_requests{status="done"} 1' in text
         assert "repro_service_execute_seconds_bucket" in text
         assert "repro_service_request_e2e_seconds_count 1" in text
+
+    def test_job_ending_within_one_step_keeps_its_execute_time(
+            self, tmp_path, monkeypatch):
+        """A job that finishes inside one executor wait window comes
+        back as ``started`` and ``ok`` in the same batch; its execute
+        span must still run from the launch, not from when the
+        scheduler read the batch."""
+        cache_to(monkeypatch, tmp_path)
+        step = JobExecutor.step
+        batches = []
+
+        def long_step(self, wait=0.02):
+            events = step(self, 30.0)
+            batches.append([(e.kind, e.job.key) for e in events])
+            return events
+        monkeypatch.setattr(JobExecutor, "step", long_step)
+        scheduler, request_id = self.run_compare()
+
+        assert any(("started", key) in batch
+                   for batch in batches for kind, key in batch
+                   if kind == "ok")
+        spans = scheduler.tracer.spans(request_id)
+        check_spans(spans)
+        walls = {entry["key"]: entry["wall_time_s"]
+                 for entry in scheduler.manifest.jobs}
+        executes = [s for s in spans if s["name"] == "execute"]
+        assert len(executes) == 2
+        for span in executes:
+            assert span["duration_us"] >= 0.5 * walls[span["key"]] * 1e6
+        assert scheduler.tracer.histogram_snapshots()[
+            "execute"]["p50_ms"] > 0
 
     def test_dedup_waiter_gets_claim_wait_span(self, tmp_path,
                                                monkeypatch):
