@@ -8,41 +8,17 @@ policy, a small GEHL-style statistical corrector, and a loop predictor.
 The predictor exposes a three-level confidence signal derived from the
 provider counter's saturation — exactly the signal APF uses to prioritise
 low-confidence branches (paper Section V-D2).
-
-Storage backends
-----------------
-
-Two interchangeable, bit-identical backends exist:
-
-* :class:`VectorTageSCL` (the default) keeps the tagged tables, bimodal
-  table and statistical corrector in numpy ``int64`` arrays. A lookup
-  computes all table indices and tags at once and resolves the
-  provider/alt pair with one vectorized gather-and-compare; allocation
-  and SC training are masked scatter writes; ``snapshot``/``restore``
-  are array copies.
-* :class:`ScalarTageSCL` is the original pure-Python list-backed
-  reference, kept for cross-checking.
-
-``TageSCL(...)`` constructs the vector backend unless the environment
-variable ``REPRO_SCALAR_PREDICTORS`` is set to a non-empty value other
-than ``0``, in which case it constructs the scalar reference. The two
-produce identical predictions, identical update/allocation decisions
-(including RNG consumption), and interchangeable snapshots.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
-
-import numpy as np
 
 from repro.common.bitops import fold_xor, mask
 from repro.common.config import TageConfig
 from repro.common.rng import DeterministicRng
 
-__all__ = ["TageSCL", "ScalarTageSCL", "VectorTageSCL", "Prediction",
-           "CONF_LOW", "CONF_MED", "CONF_HIGH"]
+__all__ = ["TageSCL", "Prediction", "CONF_LOW", "CONF_MED", "CONF_HIGH"]
 
 CONF_LOW = 0
 CONF_MED = 1
@@ -50,10 +26,6 @@ CONF_HIGH = 2
 
 # interned Prediction instances, keyed (taken, confidence, provider)
 _PREDICTIONS: dict = {}
-
-
-def _scalar_backend_requested() -> bool:
-    return os.environ.get("REPRO_SCALAR_PREDICTORS", "") not in ("", "0")
 
 
 class Prediction:
@@ -89,22 +61,6 @@ def _geometric_lengths(cfg: TageConfig) -> List[int]:
     return lengths
 
 
-def _decode_rows(data, nrows: int) -> List[List[int]]:
-    """Snapshot row-set as nested lists, whatever backend wrote it."""
-    if isinstance(data, (bytes, bytearray)):
-        flat = np.frombuffer(data, dtype=np.int64)
-        if nrows == 0:
-            return []
-        return flat.reshape(nrows, -1).tolist()
-    return [list(row) for row in data]
-
-
-def _decode_row(data) -> List[int]:
-    if isinstance(data, (bytes, bytearray)):
-        return np.frombuffer(data, dtype=np.int64).tolist()
-    return list(data)
-
-
 class _LoopEntry:
     __slots__ = ("tag", "trip", "current", "confidence", "age")
 
@@ -117,18 +73,7 @@ class _LoopEntry:
 
 
 class TageSCL:
-    """TAGE + Statistical Corrector + Loop predictor.
-
-    This class body is the scalar reference implementation; constructing
-    ``TageSCL`` directly dispatches to :class:`VectorTageSCL` unless the
-    ``REPRO_SCALAR_PREDICTORS`` environment switch asks for the scalar
-    backend (see module docstring).
-    """
-
-    def __new__(cls, *args, **kwargs):
-        if cls is TageSCL and not _scalar_backend_requested():
-            return object.__new__(VectorTageSCL)
-        return object.__new__(cls)
+    """TAGE + Statistical Corrector + Loop predictor."""
 
     def __init__(self, config: TageConfig, seed: int = 12345) -> None:
         self.config = config
@@ -312,15 +257,13 @@ class TageSCL:
         }
 
     def restore(self, state: dict) -> None:
-        n = self.config.num_tables
-        self._tags = _decode_rows(state["tags"], n)
-        self._ctrs = _decode_rows(state["ctrs"], n)
-        self._useful = _decode_rows(state["useful"], n)
-        self._bimodal = _decode_row(state["bimodal"])
+        self._tags = [list(t) for t in state["tags"]]
+        self._ctrs = [list(t) for t in state["ctrs"]]
+        self._useful = [list(t) for t in state["useful"]]
+        self._bimodal = list(state["bimodal"])
         self._use_alt_on_na = state["use_alt_on_na"]
         self._tick = state["tick"]
-        self._sc_tables = _decode_rows(state["sc_tables"],
-                                       self.config.sc_num_tables)
+        self._sc_tables = [list(t) for t in state["sc_tables"]]
         for entry, saved in zip(self._loop, state["loop"]):
             (entry.tag, entry.trip, entry.current,
              entry.confidence, entry.age) = saved
@@ -708,483 +651,3 @@ class TageSCL:
                 entry.trip = observed
                 entry.confidence = 0
             entry.current = 0
-
-
-class ScalarTageSCL(TageSCL):
-    """Pure-Python list-backed reference backend (cross-check target)."""
-
-
-class VectorTageSCL(TageSCL):
-    """numpy array-backed TAGE-SC-L storage (default backend).
-
-    The tagged tables, bimodal table and statistical corrector live in
-    ``int64`` arrays; every per-table quantity of a lookup (index, tag)
-    is computed as one vector expression, the provider/alt pair falls out
-    of one gather-and-compare, and allocation/SC training are masked
-    scatter writes. All decisions — including RNG consumption order — are
-    bit-identical to :class:`ScalarTageSCL`; the equivalence suite in
-    ``tests/test_predictor_equivalence.py`` cross-checks the two.
-
-    Caching is split by what actually invalidates it:
-
-    * the SC indices are a pure function of ``(pc, masked ghr)`` with a
-      cheap 11-bit key — memoised with no versioning;
-    * the provider/alt walk is recomputed per lookup: its natural key
-      involves the full 256-bit masked history, and building that bigint
-      key costs more than the scalar walk it would save at the observed
-      (~16%) predict/update pairing hit rate, so no match cache exists;
-    * counters, usefulness, bimodal and SC counters are read live, so
-      the frequent counter writes invalidate nothing.
-    """
-
-    def __init__(self, config: TageConfig, seed: int = 12345) -> None:
-        super().__init__(config, seed)
-        n = config.num_tables
-        self._tags = np.array(self._tags, dtype=np.int64)
-        self._ctrs = np.array(self._ctrs, dtype=np.int64)
-        self._useful = np.array(self._useful, dtype=np.int64)
-        self._bimodal = np.array(self._bimodal, dtype=np.int64)
-        self._sc_tables = np.zeros(
-            (config.sc_num_tables, 1 << config.sc_log_size), dtype=np.int64)
-        self._reflatten()
-        self._tsize = 1 << config.table_log_size
-        self._sc_size = 1 << config.sc_log_size
-        self._sc_n = config.sc_num_tables
-        self._use_alt_mid = 1 << (config.use_alt_on_na_bits - 1)
-        # (pc, masked ghr) -> (2-d SC index array, flat index tuple)
-        self._sc_idx_cache: dict = {}
-        # config flags hoisted out of the flattened predict hot path
-        self._enable_sc = config.enable_sc
-        self._enable_loop = config.enable_loop_predictor
-        self._loop_conf_max = config.loop_confidence_max
-        # gather maps: position of each per-table fold in the history's
-        # fold-value vectors (same positions fold_specs() exports)
-        self._t_rows = np.arange(n, dtype=np.int64)
-        self._gf_idx_a = np.array(self._gf_idx, dtype=np.int64)
-        self._pf_idx_a = np.array(self._pf_idx, dtype=np.int64)
-        self._gf_tag_a_a = np.array(self._gf_tag_a, dtype=np.int64)
-        self._gf_tag_b_a = np.array(self._gf_tag_b, dtype=np.int64)
-
-    def _reflatten(self) -> None:
-        """Rebuild the read views over the numpy storage.
-
-        Scalar reads go through memoryviews: they share the arrays'
-        buffers (every scatter write is immediately visible), return
-        plain Python ints, and index at roughly half numpy's scalar
-        cost. They only need rebuilding when ``restore`` swaps the
-        arrays out wholesale."""
-        self._tag_rows = [memoryview(row) for row in self._tags]
-        self._ctrs_mv = memoryview(self._ctrs.reshape(-1))
-        self._useful_mv = memoryview(self._useful.reshape(-1))
-        self._bim_mv = memoryview(self._bimodal)
-        self._sc_mv = memoryview(self._sc_tables.reshape(-1))
-
-    # -- vectorized hashing -------------------------------------------------
-
-    def _row_hashes(self, pc: int, ghr: int, path: int, folds=None):
-        """(index array, wanted-tag array) over all tagged tables."""
-        pc2 = pc >> 2
-        pc_mix = pc2 ^ (pc >> self._pc_shift)
-        if folds is not None:
-            gv_a = np.array(folds[0], dtype=np.int64)
-            pv_a = np.array(folds[1], dtype=np.int64)
-            idx = (pc_mix ^ gv_a[self._gf_idx_a] ^ pv_a[self._pf_idx_a]
-                   ^ self._t_rows) & self._idx_mask
-            want = (pc2 ^ gv_a[self._gf_tag_a_a]
-                    ^ (gv_a[self._gf_tag_b_a] << 1)) & self._tag_mask
-            return idx, want
-        n = self.config.num_tables
-        ghr_folds = self._ghr_folds
-        hist_masks = self._hist_masks
-        path_folds = self._path_folds
-        path_masks = self._path_masks
-        gi = [0] * n
-        tf = [0] * n
-        pf = [0] * n
-        for t in range(n):
-            entry = ghr_folds[t].get(ghr & hist_masks[t])
-            if entry is None:
-                entry = self._hist_folds(t, ghr)
-            gi[t], tf[t] = entry
-            p = path_folds[t].get(path & path_masks[t])
-            if p is None:
-                p = self._path_fold(t, path)
-            pf[t] = p
-        idx = (pc_mix ^ np.fromiter(gi, np.int64, n)
-               ^ np.fromiter(pf, np.int64, n)
-               ^ self._t_rows) & self._idx_mask
-        # the cached tag fold already composes both widths
-        want = (pc2 ^ np.fromiter(tf, np.int64, n)) & self._tag_mask
-        return idx, want
-
-    # -- lookup -------------------------------------------------------------
-
-    def _match(self, idx, want):
-        """Resolve (provider, provider_idx, alt, alt_idx) by one
-        gather-and-compare over the tag arrays."""
-        hits = np.flatnonzero(self._tags[self._t_rows, idx] == want)
-        if hits.size:
-            # ascending table order: the last hit is the longest-history
-            # match (the provider), the one before it the alt — exactly
-            # the scalar longest-first walk with early exit
-            provider = int(hits[-1])
-            pidx = int(idx[provider])
-            if hits.size > 1:
-                alt = int(hits[-2])
-                return provider, pidx, alt, int(idx[alt])
-            return provider, pidx, -1, -1
-        return -1, -1, -1, -1
-
-    def _walk(self, pc: int, ghr: int, path: int, folds=None):
-        """Scalar longest-first provider/alt walk over the numpy rows.
-
-        One branch's key almost never recurs (the masked global history
-        advances with every outcome), so the miss path below runs once
-        per predict and its cost is what matters. For a single 8-wide
-        lookup, numpy's per-op dispatch exceeds the whole scalar walk,
-        so the miss path stays scalar; the vectorized
-        :meth:`_row_hashes`/:meth:`_match` pair serves the re-match and
-        cross-check paths where a full index/tag set is needed anyway."""
-        provider = -1
-        provider_idx = -1
-        tag_rows = self._tag_rows
-        idx_mask = self._idx_mask
-        tag_mask = self._tag_mask
-        pc2 = pc >> 2
-        pc_mix = pc2 ^ (pc >> self._pc_shift)
-        if folds is not None:
-            gv, pv = folds
-            for table, gi, pi, ga, gb in self._fold_rows:
-                idx = (pc_mix ^ gv[gi] ^ pv[pi] ^ table) & idx_mask
-                if tag_rows[table][idx] == (
-                        pc2 ^ gv[ga] ^ (gv[gb] << 1)) & tag_mask:
-                    if provider < 0:
-                        provider, provider_idx = table, idx
-                    else:
-                        return provider, provider_idx, table, idx
-            return provider, provider_idx, -1, -1
-        hist_masks = self._hist_masks
-        path_masks = self._path_masks
-        ghr_folds = self._ghr_folds
-        path_folds = self._path_folds
-        for table in range(self.config.num_tables - 1, -1, -1):
-            entry = ghr_folds[table].get(ghr & hist_masks[table])
-            if entry is None:
-                entry = self._hist_folds(table, ghr)
-            idx_fold, tag_fold = entry
-            pfold = path_folds[table].get(path & path_masks[table])
-            if pfold is None:
-                pfold = self._path_fold(table, path)
-            idx = (pc_mix ^ idx_fold ^ pfold ^ table) & idx_mask
-            if tag_rows[table][idx] == (pc2 ^ tag_fold) & tag_mask:
-                if provider < 0:
-                    provider, provider_idx = table, idx
-                else:
-                    return provider, provider_idx, table, idx
-        return provider, provider_idx, -1, -1
-
-    def _lookup(self, pc: int, ghr: int, path: int, folds=None):
-        provider, pidx, alt, aidx = self._walk(pc, ghr, path, folds)
-        if alt >= 0:
-            alt_taken = self._ctrs_mv[alt * self._tsize + aidx] >= 0
-        else:
-            alt_taken = self._bim_mv[(pc >> 2) & self._bim_mask] >= 0
-        return provider, pidx, alt, aidx, alt_taken
-
-    def _tage_predict(self, pc: int, ghr: int, path: int, folds=None):
-        # no result memo: counters and usefulness are read live (plain
-        # ints via the memoryviews), so the frequent training writes
-        # invalidate nothing; the walk itself is cheaper than any
-        # full-history cache key (see class docstring)
-        provider, pidx, alt, aidx = self._walk(pc, ghr, path, folds)
-        ctrs_mv = self._ctrs_mv
-        if alt >= 0:
-            alt_taken = ctrs_mv[alt * self._tsize + aidx] >= 0
-        else:
-            alt_taken = self._bim_mv[(pc >> 2) & self._bim_mask] >= 0
-        if provider < 0:
-            ctr = self._bim_mv[(pc >> 2) & self._bim_mask]
-            taken = ctr >= 0
-            confidence = CONF_HIGH if ctr in (-2, 1) else CONF_MED
-            return taken, confidence, "bimodal", provider, pidx, alt_taken
-        flat = provider * self._tsize + pidx
-        ctr = ctrs_mv[flat]
-        taken = ctr >= 0
-        if ctr in (-1, 0) and self._useful_mv[flat] == 0 \
-                and self._use_alt_on_na >= self._use_alt_mid:
-            taken = alt_taken
-        if ctr == self._ctr_max or ctr == self._ctr_min:
-            confidence = CONF_HIGH
-        elif ctr >= 1 or ctr <= -2:
-            confidence = CONF_MED
-        else:
-            confidence = CONF_LOW
-        return taken, confidence, "tage", provider, pidx, alt_taken
-
-    def _tage_predict_uncached(self, pc: int, ghr: int, path: int,
-                               folds=None):
-        return self._tage_predict(pc, ghr, path, folds)
-
-    def predict(self, pc: int, ghr: int, path: int = 0,
-                folds=None) -> Prediction:
-        # flattened hot path: the TAGE decision, SC override and loop
-        # override from the reference ``predict``/``_tage_predict`` pair
-        # inlined into one frame (identical decision order, hence
-        # bit-identical outcomes); predict() is the single hottest
-        # call in the simulator, so the call overhead matters
-        provider, pidx, alt, aidx = self._walk(pc, ghr, path, folds)
-        ctrs_mv = self._ctrs_mv
-        tsize = self._tsize
-        pc2 = pc >> 2
-        if alt >= 0:
-            alt_taken = ctrs_mv[alt * tsize + aidx] >= 0
-        else:
-            alt_taken = self._bim_mv[pc2 & self._bim_mask] >= 0
-        if provider < 0:
-            ctr = self._bim_mv[pc2 & self._bim_mask]
-            taken = ctr >= 0
-            confidence = CONF_HIGH if ctr in (-2, 1) else CONF_MED
-            provider_label = "bimodal"
-        else:
-            flat = provider * tsize + pidx
-            ctr = ctrs_mv[flat]
-            taken = ctr >= 0
-            if ctr in (-1, 0) and self._useful_mv[flat] == 0 \
-                    and self._use_alt_on_na >= self._use_alt_mid:
-                taken = alt_taken
-            if ctr == self._ctr_max or ctr == self._ctr_min:
-                confidence = CONF_HIGH
-            elif ctr >= 1 or ctr <= -2:
-                confidence = CONF_MED
-            else:
-                confidence = CONF_LOW
-            provider_label = "tage"
-        if self._enable_sc and self._sc_n:
-            sc_mv = self._sc_mv
-            s = 0
-            for j in self._sc_entry(pc, ghr, folds):
-                s += sc_mv[j]
-            total = (8 if taken else -8) + 2 * s + self._sc_n
-            sc_taken = total >= 0
-            if sc_taken != taken and abs(total) >= self._sc_threshold:
-                taken = sc_taken
-                confidence = CONF_LOW
-                provider_label = "sc"
-        if self._enable_loop:
-            entry = self._loop[pc2 & self._loop_mask]
-            if (entry.tag == pc and entry.confidence >= self._loop_conf_max
-                    and entry.trip > 0):
-                loop_taken = entry.current + 1 != entry.trip
-                if loop_taken != taken:
-                    taken = loop_taken
-                    confidence = CONF_HIGH
-                    provider_label = "loop"
-        key = (taken, confidence, provider_label)
-        pred = _PREDICTIONS.get(key)
-        if pred is None:
-            pred = _PREDICTIONS[key] = Prediction(taken, confidence,
-                                                  provider_label)
-        return pred
-
-    # -- statistical corrector ---------------------------------------------
-
-    def _sc_entry(self, pc: int, ghr: int, folds=None):
-        """Flat SC-table indices for ``pc``; a pure function of
-        (pc, masked ghr), memoised without versioning."""
-        key = (pc, ghr & self._sc_key_mask)
-        entry = self._sc_idx_cache.get(key)
-        if entry is not None:
-            return entry
-        pc2 = pc >> 2
-        sc_mask = self._sc_mask
-        size = self._sc_size
-        if folds is not None:
-            gv = folds[0]
-            entry = tuple(
-                ((pc2 ^ (gv[a] if a >= 0 else 0) ^ (t * 0x9E37)) & sc_mask)
-                + t * size
-                for t, a in enumerate(self._gf_sc))
-        else:
-            entry = tuple(
-                ((pc2 ^ self._sc_fold(t, ghr) ^ (t * 0x9E37)) & sc_mask)
-                + t * size
-                for t in range(self._sc_n))
-        cache = self._sc_idx_cache
-        if len(cache) >= self._FOLD_CACHE_LIMIT:
-            cache.clear()
-        cache[key] = entry
-        return entry
-
-    def _sc_sum(self, pc: int, ghr: int, tage_taken: bool, folds=None) -> int:
-        m = self._sc_n
-        if not m:
-            return 8 if tage_taken else -8
-        sc_mv = self._sc_mv
-        s = 0
-        for j in self._sc_entry(pc, ghr, folds):
-            s += sc_mv[j]
-        # sum(2*ctr + 1) == 2*sum(ctr) + m
-        return (8 if tage_taken else -8) + 2 * s + m
-
-    def _sc_part(self, pc: int, ghr: int, folds=None) -> int:
-        sc_mv = self._sc_mv
-        s = 0
-        for j in self._sc_entry(pc, ghr, folds):
-            s += sc_mv[j]
-        return 2 * s + self._sc_n
-
-    def _sc_write(self, pc: int, ghr: int, taken: bool, folds=None) -> bool:
-        if not self._sc_n:
-            return False
-        sc_mv = self._sc_mv
-        sc_max = self._sc_max
-        sc_min = self._sc_min
-        dirty = False
-        # writes through the memoryview land in the same buffer the
-        # vector paths read
-        for j in self._sc_entry(pc, ghr, folds):
-            ctr = sc_mv[j]
-            if taken and ctr < sc_max:
-                sc_mv[j] = ctr + 1
-                dirty = True
-            elif not taken and ctr > sc_min:
-                sc_mv[j] = ctr - 1
-                dirty = True
-        return dirty
-
-    # -- training -----------------------------------------------------------
-
-    def update(self, pc: int, ghr: int, taken: bool, path: int = 0,
-               backward: bool = False, folds=None) -> None:
-        # mirrors the scalar reference decision-for-decision (including
-        # the RNG consumption in _allocate), with storage accessed
-        # through the memoryviews; the scalar backend's ``_version``
-        # bookkeeping is dropped because no vector path consults it
-        cfg = self.config
-        (pred_taken, _conf, _prov, provider, pidx,
-         alt_taken) = self._tage_predict(pc, ghr, path, folds)
-
-        if cfg.enable_sc:
-            total = self._sc_sum(pc, ghr, pred_taken, folds)
-            sc_taken = total >= 0
-            final_taken = pred_taken
-            if sc_taken != pred_taken and abs(total) >= self._sc_threshold:
-                final_taken = sc_taken
-            if final_taken != taken or abs(total) < 3 * self._sc_threshold:
-                self._sc_write(pc, ghr, taken, folds)
-
-        if cfg.enable_loop_predictor and backward:
-            self._loop_update(pc, taken)
-
-        mispredicted = pred_taken != taken
-        if provider >= 0:
-            flat = provider * self._tsize + pidx
-            ctrs_mv = self._ctrs_mv
-            useful_mv = self._useful_mv
-            ctr = ctrs_mv[flat]
-            provider_taken = ctr >= 0
-            newly = ctr in (-1, 0) and useful_mv[flat] == 0
-            # use-alt-on-newly-allocated bookkeeping
-            if newly and provider_taken != alt_taken:
-                if alt_taken == taken and self._use_alt_on_na < mask(
-                        cfg.use_alt_on_na_bits):
-                    self._use_alt_on_na += 1
-                elif alt_taken != taken and self._use_alt_on_na > 0:
-                    self._use_alt_on_na -= 1
-            # usefulness: provider differs from alt and was correct
-            if provider_taken != alt_taken:
-                if provider_taken == taken:
-                    if useful_mv[flat] < self._useful_max:
-                        useful_mv[flat] += 1
-                elif useful_mv[flat] > 0:
-                    useful_mv[flat] -= 1
-            # counter update
-            if taken and ctr < self._ctr_max:
-                ctrs_mv[flat] = ctr + 1
-            elif not taken and ctr > self._ctr_min:
-                ctrs_mv[flat] = ctr - 1
-        else:
-            idx = (pc >> 2) & self._bim_mask
-            bim_mv = self._bim_mv
-            ctr = bim_mv[idx]
-            if taken and ctr < 1:
-                bim_mv[idx] = ctr + 1
-            elif not taken and ctr > -2:
-                bim_mv[idx] = ctr - 1
-
-        if mispredicted and provider < cfg.num_tables - 1:
-            self._allocate(pc, ghr, path, taken, provider, folds)
-
-    # -- allocation ---------------------------------------------------------
-
-    def _allocate(self, pc: int, ghr: int, path: int, taken: bool,
-                  provider: int, folds=None) -> None:
-        # always writes storage: either a fresh entry or usefulness aging
-        self._version += 1
-        idx, want = self._row_hashes(pc, ghr, path, folds)
-        start = provider + 1
-        rows = self._t_rows[start:]
-        sel = idx[start:]
-        u = self._useful[rows, sel]
-        cand = np.flatnonzero(u == 0)
-        if cand.size == 0:
-            # age the competition so future allocations can succeed
-            self._useful[rows, sel] = u - (u > 0)
-            return
-        # prefer shorter history, with some randomisation (as in TAGE);
-        # the RNG is consumed exactly when the scalar reference consumes it
-        pick = 0
-        if cand.size > 1 and self._rng.chance(0.33):
-            pick = 1
-        at = int(cand[pick])
-        table = start + at
-        entry = int(sel[at])
-        self._tags[table, entry] = int(want[start + at])
-        self._ctrs[table, entry] = 0 if taken else -1
-        self._useful[table, entry] = 0
-        # global useful reset tick
-        self._tick += 1
-        if self._tick >= (1 << 14):
-            self._tick = 0
-            self._useful[self._useful > 0] -= 1
-
-    # -- checkpointing ------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        # raw bytes rather than arrays: snapshot dicts are compared with
-        # ``==`` by the equivalence tests, and bytes compare by value
-        return {
-            "tags": self._tags.tobytes(),
-            "ctrs": self._ctrs.tobytes(),
-            "useful": self._useful.tobytes(),
-            "bimodal": self._bimodal.tobytes(),
-            "use_alt_on_na": self._use_alt_on_na,
-            "tick": self._tick,
-            "sc_tables": self._sc_tables.tobytes(),
-            "loop": [(e.tag, e.trip, e.current, e.confidence, e.age)
-                     for e in self._loop],
-            "rng": self._rng.getstate(),
-        }
-
-    @staticmethod
-    def _decode_array(data, shape):
-        if isinstance(data, (bytes, bytearray)):
-            return np.frombuffer(data, dtype=np.int64).reshape(shape).copy()
-        return np.array(data, dtype=np.int64).reshape(shape)
-
-    def restore(self, state: dict) -> None:
-        self._tags = self._decode_array(state["tags"], self._tags.shape)
-        self._ctrs = self._decode_array(state["ctrs"], self._ctrs.shape)
-        self._useful = self._decode_array(state["useful"], self._useful.shape)
-        self._bimodal = self._decode_array(state["bimodal"],
-                                           self._bimodal.shape)
-        self._use_alt_on_na = state["use_alt_on_na"]
-        self._tick = state["tick"]
-        self._sc_tables = self._decode_array(state["sc_tables"],
-                                             self._sc_tables.shape)
-        self._reflatten()
-        for entry, saved in zip(self._loop, state["loop"]):
-            (entry.tag, entry.trip, entry.current,
-             entry.confidence, entry.age) = saved
-        self._rng.setstate(state["rng"])
-        self._version += 1

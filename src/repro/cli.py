@@ -87,6 +87,32 @@ from repro.workloads.profiles import ALL_NAMES, GAP_NAMES, SPEC_NAMES
 __all__ = ["main", "build_parser", "config_from_args"]
 
 
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """argparse ``type=``: an int no smaller than ``minimum``."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return convert
+
+
+def _sampling_spec(text: str) -> str:
+    """argparse ``type=``: a valid sampling spec, kept as text so
+    ``submit`` forwards it to the daemon unchanged."""
+    try:
+        parse_sampling(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad sampling spec {text!r}: {exc}") from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -94,14 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--warmup", type=int, default=None,
+        p.add_argument("--warmup", type=_at_least(0), default=None,
                        help="warm-up instructions (default: the bench "
                             "window for $REPRO_BENCH_SCALE)")
-        p.add_argument("--measure", type=int, default=None,
+        p.add_argument("--measure", type=_at_least(1), default=None,
                        help="measured instructions (default: the bench "
                             "window for $REPRO_BENCH_SCALE)")
         p.add_argument("--seed", type=int, default=1234)
-        p.add_argument("--sampling", default=None, metavar="SPEC",
+        p.add_argument("--sampling", type=_sampling_spec, default=None,
+                       metavar="SPEC",
                        help="interval sampling instead of a dense window, "
                             "e.g. intervals=32,period=2000 (keys: "
                             "intervals, period, warmup, measure, "
@@ -207,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--manifest", default=None,
                          help="run-manifest JSON path (default: "
                               "benchmarks/results/run_manifest.json)")
-    bench_p.add_argument("--sampling", default=None, metavar="SPEC",
+    bench_p.add_argument("--sampling", type=_sampling_spec, default=None,
+                         metavar="SPEC",
                          help="run every bench simulation in sampled mode "
                               "(e.g. intervals=32,period=2000); results "
                               "are cached separately from dense runs")
@@ -217,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser(
         "trace", help="record a pipeline trace of one workload")
     trace_p.add_argument("workload", choices=ALL_NAMES)
-    trace_p.add_argument("--instructions", type=int, default=5000,
+    trace_p.add_argument("--instructions", type=_at_least(1), default=5000,
                          help="instructions to simulate (default 5000)")
     trace_p.add_argument("--format", choices=("text", "chrome", "o3"),
                          default="text",
@@ -234,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="first cycle of the text window (default 0)")
     trace_p.add_argument("--cycles", type=int, default=100,
                          help="width of the text window (default 100)")
-    trace_p.add_argument("--cycle-by-cycle", action="store_true",
-                         help="force the per-cycle reference loop (the "
-                              "event stream is identical either way)")
     trace_p.add_argument("--seed", type=int, default=1234)
     trace_p.add_argument("--scale", choices=("small", "paper"),
                          default="small")
@@ -293,10 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default compare)")
     submit_p.add_argument("--workloads", default="leela,deepsjeng,tc",
                           help="comma-separated list, or 'all'/'spec'/'gap'")
-    submit_p.add_argument("--warmup", type=int, default=None)
-    submit_p.add_argument("--measure", type=int, default=None)
+    submit_p.add_argument("--warmup", type=_at_least(0), default=None)
+    submit_p.add_argument("--measure", type=_at_least(1), default=None)
     submit_p.add_argument("--seed", type=int, default=1234)
-    submit_p.add_argument("--sampling", default=None, metavar="SPEC")
+    submit_p.add_argument("--sampling", type=_sampling_spec, default=None,
+                          metavar="SPEC")
     submit_p.add_argument("--scale", choices=("small", "paper"),
                           default="small")
     submit_p.add_argument("--predictor",
@@ -337,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     char_p = sub.add_parser("characterize",
                             help="analyse a workload's dynamic trace")
     char_p.add_argument("--workload", default="leela", choices=ALL_NAMES)
-    char_p.add_argument("--instructions", type=int, default=30_000)
+    char_p.add_argument("--instructions", type=_at_least(1), default=30_000)
 
     desc_p = sub.add_parser("describe", help="print the configuration")
     desc_p.add_argument("--scale", choices=("small", "paper"),
@@ -681,7 +707,7 @@ def _cmd_trace(args) -> int:
     recorder = EventRecorder(capacity=args.capacity)
     tracer = PipeTracer(core, attach=False)
     core.attach_obs(MultiSink([recorder, tracer]))
-    core.run(args.instructions, cycle_by_cycle=args.cycle_by_cycle)
+    core.run(args.instructions)
 
     if args.format == "chrome":
         out = Path(args.out or f"{args.workload}.trace.json")

@@ -173,6 +173,10 @@ def normalize_request(doc: dict) -> dict:
         "seed": _type_check(doc, "seed", (int,), default=1234),
         "sampling": _type_check(doc, "sampling", (str,)),
     }
+    for field, minimum in (("warmup", 0), ("measure", 1)):
+        if out[field] is not None and out[field] < minimum:
+            raise RequestError(f"request field {field!r} must be >= "
+                               f"{minimum}, got {out[field]!r}")
     if out["sampling"] is not None:
         try:
             parse_sampling(out["sampling"])

@@ -68,8 +68,33 @@ class TestParser:
         assert args.workload == "leela"
         assert args.instructions == 5000
         assert args.format == "text"
-        assert not args.cycle_by_cycle
         assert args.emit_metrics is None
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "--workload", "xz", "--sampling", "intervals=abc"],
+         "--sampling"),
+        (["run", "--workload", "xz", "--sampling", "bogus=1"], "--sampling"),
+        (["bench", "fig02_mpki", "--sampling", "confidence=2"], "--sampling"),
+        (["submit", "--sampling", "intervals=0"], "--sampling"),
+        (["run", "--workload", "xz", "--warmup", "-5", "--measure", "100"],
+         "--warmup"),
+        (["run", "--measure", "0"], "--measure"),
+        (["compare", "--measure", "-1"], "--measure"),
+        (["submit", "--warmup", "soon"], "--warmup"),
+        (["trace", "leela", "--instructions", "-3"], "--instructions"),
+        (["characterize", "--instructions", "0"], "--instructions"),
+    ])
+    def test_malformed_windows_and_specs_exit_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+
+    def test_sampling_spec_passes_through_as_text(self):
+        args = parse(["submit", "--sampling", "intervals=8,period=1000"])
+        assert args.sampling == "intervals=8,period=1000"
 
     def test_trace_requires_workload(self):
         with pytest.raises(SystemExit):
@@ -234,8 +259,7 @@ class TestTraceCommand:
     def test_o3_export(self, tmp_path, capsys):
         out_path = tmp_path / "leela.o3.txt"
         code = main(["trace", "leela", "--instructions", "1000",
-                     "--format", "o3", "--out", str(out_path),
-                     "--cycle-by-cycle"])
+                     "--format", "o3", "--out", str(out_path)])
         assert code == 0
         from repro.obs import validate_o3_trace
         validate_o3_trace(out_path.read_text())

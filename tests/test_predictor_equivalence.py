@@ -1,13 +1,14 @@
-"""Randomized scalar-vs-numpy TAGE-SC-L equivalence.
+"""Randomized TAGE-SC-L path equivalence.
 
-``TageSCL`` dispatches to the numpy array-backed :class:`VectorTageSCL`
-by default and to the scalar reference :class:`ScalarTageSCL` when
-``REPRO_SCALAR_PREDICTORS=1``. The two backends must be bit-identical on
-*any* predict/update sequence: every Prediction triple, the full storage
-snapshot, ``storage_bits()``, and the allocation RNG state — with and
-without attached history folds, and across snapshot/restore round-trips
-in either storage format (scalar emits nested lists, vector emits raw
-bytes; ``restore`` accepts both).
+``TageSCL`` has two ways to reach the same table entries. The core hands
+``predict``/``update`` the fold values its attached
+``SpeculativeHistory`` maintains (the folds path); the sampling
+``FunctionalWarmer`` passes none, so the predictor folds the raw history
+itself through its fold and lookup memos (the no-folds path). Both must
+be bit-identical on *any* predict/update sequence: every Prediction
+triple and the full storage snapshot, including the allocation RNG
+state. A snapshot/restore round-trip mid-sequence (the sampling
+checkpoint path) must not disturb either.
 
 The sequences here are randomized but seeded, so a failure is a
 reproducible counterexample, not a flake.
@@ -18,8 +19,7 @@ import random
 import pytest
 
 from repro.branch.history import SpeculativeHistory
-from repro.branch.tage import (ScalarTageSCL, TageSCL, VectorTageSCL,
-                               _decode_row, _decode_rows)
+from repro.branch.tage import TageSCL
 from repro.common.config import TageConfig
 
 CONFIGS = {
@@ -30,30 +30,11 @@ CONFIGS = {
 }
 
 
-def make_config(key) -> TageConfig:
-    return TageConfig(num_tables=5, table_log_size=7, bimodal_log_size=9,
-                      max_history=64, sc_log_size=6, loop_log_size=5,
-                      **CONFIGS[key])
-
-
-def make_pair(key):
-    cfg = make_config(key)
-    scalar = ScalarTageSCL(cfg, seed=99)
-    vector = VectorTageSCL(cfg, seed=99)
-    assert type(scalar) is ScalarTageSCL
-    assert type(vector) is VectorTageSCL
-    return scalar, vector
-
-
-def canonical(snap: dict, cfg: TageConfig) -> dict:
-    """Normalize a snapshot to nested lists, whatever backend wrote it."""
-    out = dict(snap)
-    out["tags"] = _decode_rows(snap["tags"], cfg.num_tables)
-    out["ctrs"] = _decode_rows(snap["ctrs"], cfg.num_tables)
-    out["useful"] = _decode_rows(snap["useful"], cfg.num_tables)
-    out["bimodal"] = _decode_row(snap["bimodal"])
-    out["sc_tables"] = _decode_rows(snap["sc_tables"], cfg.sc_num_tables)
-    return out
+def make_predictor(key) -> TageSCL:
+    cfg = TageConfig(num_tables=5, table_log_size=7, bimodal_log_size=9,
+                     max_history=64, sc_log_size=6, loop_log_size=5,
+                     **CONFIGS[key])
+    return TageSCL(cfg, seed=99)
 
 
 def make_history(predictor, use_folds: bool) -> SpeculativeHistory:
@@ -105,71 +86,49 @@ def drive(predictor, seed: int, steps: int, use_folds: bool,
 
 
 @pytest.mark.parametrize("config_key", sorted(CONFIGS))
-@pytest.mark.parametrize("use_folds", [False, True],
-                         ids=["no_folds", "folds"])
 class TestRandomizedEquivalence:
-    def test_trail_and_storage_identical(self, config_key, use_folds):
-        scalar, vector = make_pair(config_key)
-        strail = drive(scalar, seed=1234, steps=1_500, use_folds=use_folds)
-        vtrail = drive(vector, seed=1234, steps=1_500, use_folds=use_folds)
-        assert strail == vtrail
-        cfg = make_config(config_key)
-        assert canonical(scalar.snapshot(), cfg) \
-            == canonical(vector.snapshot(), cfg)
+    def test_folds_and_plain_paths_identical(self, config_key):
+        plain, folded = make_predictor(config_key), make_predictor(config_key)
+        assert drive(plain, seed=1234, steps=1_500, use_folds=False) \
+            == drive(folded, seed=1234, steps=1_500, use_folds=True)
+        assert plain.snapshot() == folded.snapshot()
 
+    @pytest.mark.parametrize("use_folds", [False, True],
+                             ids=["no_folds", "folds"])
     def test_roundtrips_do_not_disturb_state(self, config_key, use_folds):
-        """Snapshot/restore mid-sequence is a no-op for both backends."""
-        scalar, vector = make_pair(config_key)
-        strail = drive(scalar, seed=71, steps=900, use_folds=use_folds,
-                       roundtrip_every=113)
-        vtrail = drive(vector, seed=71, steps=900, use_folds=use_folds,
-                       roundtrip_every=113)
-        plain_scalar, plain_vector = make_pair(config_key)
-        assert strail == vtrail
-        assert strail == drive(plain_scalar, seed=71, steps=900,
-                               use_folds=use_folds)
-        assert vtrail == drive(plain_vector, seed=71, steps=900,
-                               use_folds=use_folds)
+        """Snapshot/restore mid-sequence is a no-op on either path."""
+        tripped, plain = make_predictor(config_key), make_predictor(config_key)
+        assert drive(tripped, seed=71, steps=900, use_folds=use_folds,
+                     roundtrip_every=113) \
+            == drive(plain, seed=71, steps=900, use_folds=use_folds)
+        assert tripped.snapshot() == plain.snapshot()
 
-
-@pytest.mark.parametrize("config_key", sorted(CONFIGS))
-class TestCrossFormat:
-    def test_storage_bits_unchanged(self, config_key):
-        scalar, vector = make_pair(config_key)
-        assert scalar.storage_bits() == vector.storage_bits()
-
-    def test_cross_restore_both_directions(self, config_key):
-        """A scalar snapshot restores into the vector backend and vice
-        versa, and the predictors continue bit-identically from there."""
-        scalar, vector = make_pair(config_key)
-        drive(scalar, seed=5, steps=600, use_folds=False)
-        drive(vector, seed=5, steps=600, use_folds=False)
-        crossed_scalar, crossed_vector = make_pair(config_key)
-        crossed_scalar.restore(vector.snapshot())   # bytes -> lists
-        crossed_vector.restore(scalar.snapshot())   # lists -> arrays
-        cfg = make_config(config_key)
-        assert canonical(crossed_scalar.snapshot(), cfg) \
-            == canonical(crossed_vector.snapshot(), cfg)
-        tail_s = drive(crossed_scalar, seed=6, steps=400, use_folds=True)
-        tail_v = drive(crossed_vector, seed=6, steps=400, use_folds=True)
-        assert tail_s == tail_v
-
-
-class TestDispatch:
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALAR_PREDICTORS", raising=False)
-        assert type(TageSCL(make_config("full"))) is VectorTageSCL
-
-    def test_env_switch_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_PREDICTORS", "1")
-        # the TageSCL class body IS the scalar implementation; the switch
-        # just suppresses the redirect to the vector subclass
-        assert not isinstance(TageSCL(make_config("full")), VectorTageSCL)
-        monkeypatch.setenv("REPRO_SCALAR_PREDICTORS", "0")
-        assert type(TageSCL(make_config("full"))) is VectorTageSCL
-
-    def test_direct_classes_ignore_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_PREDICTORS", "1")
-        assert type(VectorTageSCL(make_config("full"))) is VectorTageSCL
-        monkeypatch.delenv("REPRO_SCALAR_PREDICTORS", raising=False)
-        assert type(ScalarTageSCL(make_config("full"))) is ScalarTageSCL
+    def test_usefulness_ages_when_the_tick_wraps(self, config_key):
+        """Every 2**14 allocations, every usefulness counter ages by one."""
+        predictor = make_predictor(config_key)
+        drive(predictor, seed=1234, steps=1_500, use_folds=False)
+        # this stream leaves almost every counter at 0, so spread seeded
+        # values over the whole range before the wrap
+        rng = random.Random(3)
+        state = predictor.snapshot()
+        top = predictor._useful_max
+        state["useful"] = [[rng.choice((0, 0, 1, top)) for _ in row]
+                           for row in state["useful"]]
+        predictor.restore(state)
+        before = state["useful"]
+        # a PC with no tagged hit and a free slot: the update's only
+        # usefulness writes are then the allocation's own
+        tables = range(predictor.config.num_tables)
+        for pc in range(0x80000, 0x90000, 4):
+            taken, _, _, provider, _, _ = predictor._tage_predict(pc, 0, 0)
+            if provider < 0 and any(
+                    before[t][predictor._index(t, pc, 0, 0)] == 0
+                    for t in tables):
+                break
+        predictor._tick = (1 << 14) - 1
+        predictor.update(pc, 0, not taken, 0)      # one allocating mispredict
+        assert predictor._tick == 0
+        after = predictor.snapshot()["useful"]
+        for row_before, row_after in zip(before, after):
+            for u, v in zip(row_before, row_after):
+                assert v == (u - 1 if u > 0 else 0)

@@ -130,6 +130,8 @@ class TestRequests:
         {"kind": "compare", "workloads": []},
         {"kind": "compare", "workloads": ["xz"], "test": {}},  # base == test
         {"kind": "compare", "workloads": ["xz"], "warmup": "soon"},
+        {"kind": "run", "workload": "xz", "warmup": -5},
+        {"kind": "compare", "workloads": ["xz"], "measure": 0},
         {"kind": "compare", "workloads": ["xz"], "surprise": 1},
         {"kind": "compare", "workloads": ["xz"], "sampling": "bogus!!"},
         {"kind": "sweep", "workloads": ["xz"], "configs": []},
