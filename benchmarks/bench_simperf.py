@@ -133,38 +133,40 @@ def measure_parallel(slots: int) -> dict:
     """Fan the bench cells across a :class:`JobExecutor` worker pool.
 
     Each (workload, config) cell becomes one :class:`Job` running the
-    standard ``Simulator`` path in its own worker process — no result
-    cache in the loop, so every cell is a fresh, honestly-timed
-    simulation. The quantity of interest is *campaign* throughput:
-    total simulated kcycles across all cells over the campaign's
-    wall-clock, which is what a many-config sweep experiences. Per-cell
-    wall times (which include worker spawn) are reported for diagnosis
-    but are not comparable to the single-process rows.
+    standard ``Simulator`` path on one of the pool's ``slots`` worker
+    processes — no result cache in the loop, so every cell is a fresh,
+    honestly-timed simulation. The quantity of interest is *campaign*
+    throughput: total simulated kcycles across all cells over the
+    campaign's wall-clock, which is what a many-config sweep
+    experiences. Per-cell wall times (which include handing the job to
+    a worker, and the fork of a slot's first worker) are reported for
+    diagnosis but are not comparable to the single-process rows.
     """
     from repro.analysis.runner import Job, JobExecutor
 
     warmup, window = bench_windows()
-    executor = JobExecutor(slots=slots, retries=0)
     names = {}
-    for workload in ALL_NAMES:
-        for label, config in (("base", small_core_config()),
-                              ("apf", small_core_config().with_apf())):
-            job = Job(workload, config, warmup, window, SEED)
-            names[id(job)] = f"{workload}/{label}"
-            executor.submit(job)
     cells: Dict[str, Dict[str, float]] = {}
     failures = []
-    start = time.perf_counter()
-    while not executor.idle:
-        for event in executor.step():
-            if event.kind == "ok":
-                cells[names[id(event.job)]] = {
-                    "cycles": event.payload["cycles"],
-                    "wall_s": round(event.wall_time, 4),
-                }
-            elif event.kind in ("failed", "timeout"):
-                failures.append(f"{names[id(event.job)]}: {event.error}")
-    campaign_wall = time.perf_counter() - start
+    with JobExecutor(slots=slots, retries=0) as executor:
+        for workload in ALL_NAMES:
+            for label, config in (("base", small_core_config()),
+                                  ("apf", small_core_config().with_apf())):
+                job = Job(workload, config, warmup, window, SEED)
+                names[id(job)] = f"{workload}/{label}"
+                executor.submit(job)
+        start = time.perf_counter()
+        while not executor.idle:
+            for event in executor.step():
+                if event.kind == "ok":
+                    cells[names[id(event.job)]] = {
+                        "cycles": event.payload["cycles"],
+                        "wall_s": round(event.wall_time, 4),
+                    }
+                elif event.kind in ("failed", "timeout"):
+                    failures.append(f"{names[id(event.job)]}: "
+                                    f"{event.error}")
+        campaign_wall = time.perf_counter() - start
     if failures:
         raise RuntimeError("parallel bench cells failed:\n"
                            + "\n".join(failures))

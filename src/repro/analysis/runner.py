@@ -14,8 +14,9 @@ Guarantees:
   every result (fresh or cached) is round-tripped through the same
   canonical JSON payload, so parallel runs produce results identical to
   serial runs and byte-identical cache files.
-* **Per-job timeout** — each job runs in its own process; a job that
-  exceeds ``timeout`` seconds is terminated and retried.
+* **Per-job timeout** — each job runs in a worker process; a job that
+  exceeds ``timeout`` seconds has its worker terminated and is retried
+  on a new one.
 * **Bounded retry** — crashed / timed-out / raising jobs are retried up
   to ``retries`` extra times before being reported as failures.
 * **Structured manifest** — a :class:`RunManifest` records per-job
@@ -28,17 +29,18 @@ The module-level "active runner" lets high-level entry points (the
 need no code changes to run in parallel.
 
 Execution is factored into an incremental :class:`JobExecutor` —
-submit/step semantics over the worker pool, blocking in
-``multiprocessing.connection.wait`` on all live pipes instead of
-busy-polling — so long-lived drivers (the ``repro serve`` daemon's DAG
-scheduler) can feed jobs one at a time and interleave their own work,
-while :meth:`Runner.run` stays the batch front door.
+submit/step semantics over one long-lived worker process per slot,
+blocking in ``multiprocessing.connection.wait`` on all busy pipes
+instead of busy-polling — so long-lived callers (the ``repro serve``
+daemon's DAG scheduler) can feed jobs one at a time and interleave their
+own work, while :meth:`Runner.run` stays the batch front door.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import sys
 import time
 import traceback
@@ -54,6 +56,7 @@ from repro.common.config import CoreConfig
 from repro.core.simulator import SimResult, Simulator
 from repro.obs.metrics import current_metric_stream
 from repro.sampling import SamplingPlan, SamplingSimulator
+from repro.workloads.profiles import clear_trace_cache
 
 __all__ = [
     "Job", "JobEvent", "JobExecutor", "JobFailure", "RunManifest",
@@ -66,11 +69,25 @@ _JOBS_ENV = "REPRO_BENCH_JOBS"
 #: default seconds one executor step blocks waiting for worker pipes
 _POLL_INTERVAL = 0.02
 
+#: seconds shutdown() waits for an idle worker to exit before killing it
+_STOP_GRACE = 5.0
+
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker-count default: explicit value, else $REPRO_BENCH_JOBS, else 1."""
+    """Worker-count default: explicit value, else $REPRO_BENCH_JOBS, else 1.
+
+    Raises ``ValueError`` naming the variable when $REPRO_BENCH_JOBS is
+    not a positive integer.
+    """
     if jobs is None:
-        jobs = int(os.environ.get(_JOBS_ENV, "1") or "1")
+        text = os.environ.get(_JOBS_ENV, "") or "1"
+        try:
+            jobs = int(text)
+        except ValueError:
+            jobs = 0
+        if jobs < 1:
+            raise ValueError(f"{_JOBS_ENV} must be a positive integer, "
+                             f"got {text!r}")
     return max(1, jobs)
 
 
@@ -274,14 +291,64 @@ def _worker_main(conn, workload: str, config: CoreConfig,
             conn.send(("error", traceback.format_exc()))
         except Exception:
             pass
-    finally:
-        conn.close()
+
+
+def _worker_loop(conn, parent_end) -> None:
+    """Body of a worker process: run the jobs that arrive on ``conn``
+    until a ``None`` stop message or the parent's death (EOF).
+
+    Each job goes through the module global :func:`_worker_main`, so a
+    wrapper installed before the fork sees every job. Between jobs the
+    worker drops its in-process workload caches: it holds at most one
+    job's workload, and the next job loads its own from the workload
+    store.
+    """
+    # our copy of the parent's end would keep the pipe open after the
+    # parent dies, and an orphan would then wait in recv() forever
+    parent_end.close()
+    # Ctrl-C reaches the whole process group; the parent decides whether
+    # a worker is stopped or terminated (JobExecutor.shutdown)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            job = conn.recv()
+        except (EOFError, OSError):
+            return
+        if job is None:
+            return
+        _worker_main(conn, *job)
+        clear_trace_cache()
 
 
 def _mp_context():
+    """The ``fork`` context where the platform has it.
+
+    Forking, not spawning, is deliberate. A spawned worker pays for a
+    fresh interpreter plus the import of this module (about half a
+    CPU-second on a 2-vCPU VM), which a short campaign would pay once
+    per slot. Workers also inherit what the parent installed before the
+    fork, such as the benchmark's span wrappers around
+    :func:`_worker_main`. And each slot forks once, not once per job,
+    so a threaded parent (the ``repro serve`` daemon) forks rarely.
+    """
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
+
+
+@dataclass
+class _Worker:
+    """One long-lived worker process and the parent's end of its pipe."""
+
+    proc: multiprocessing.process.BaseProcess
+    conn: _mp_connection.Connection
+
+    def kill(self) -> None:
+        """Terminate the process (harmless once it has exited), reap
+        it, and close our end of its pipe."""
+        self.proc.terminate()
+        self.proc.join()
+        self.conn.close()
 
 
 @dataclass
@@ -302,7 +369,7 @@ class JobEvent:
 
     ``kind`` is one of:
 
-    * ``"started"`` — a worker process was launched for the job
+    * ``"started"`` — the job was handed to a worker process
       (``attempts`` counts this launch; ``started_at`` is the
       ``time.monotonic()`` of the launch, since a job that ends within
       one :meth:`JobExecutor.step` arrives in the same batch as its
@@ -335,6 +402,20 @@ class JobExecutor:
     DAG-ready job at a time and interleaves its own bookkeeping between
     :meth:`step` calls.
 
+    Workers:
+
+    * Each slot is one long-lived worker process that runs job after
+      job. A launch takes an idle worker, or forks one when none is
+      idle, so an executor that never misses forks nothing and never
+      runs more than ``slots`` workers.
+    * Only a worker whose last job succeeded takes another job. A job
+      that raised, crashed, or timed out costs its worker: it is
+      terminated and joined, and the retry runs on a new one.
+    * The workers live and die with the executor: :meth:`shutdown`
+      stops idle workers with a message and terminates busy ones. A
+      worker whose parent dies exits at its next read (see
+      :func:`_worker_loop`).
+
     Scheduling structure:
 
     * ``pending`` is a :class:`collections.deque`; fresh submissions and
@@ -342,7 +423,7 @@ class JobExecutor:
       job waits behind everything already queued, so one flaky job cannot
       starve the rest of a campaign), and launches pop from the head.
     * :meth:`step` blocks in ``multiprocessing.connection.wait`` on all
-      live worker pipes (bounded by the nearest timeout deadline) instead
+      busy worker pipes (bounded by the nearest timeout deadline) instead
       of busy-polling each pipe — an idle pool costs no CPU, which is
       what lets a long-lived daemon host sleep between jobs.
     """
@@ -356,7 +437,8 @@ class JobExecutor:
         self.manifest = manifest
         self._ctx = _mp_context()
         self._pending: Deque[_Task] = deque()
-        self._running: List[Tuple[_Task, object, object]] = []
+        self._running: List[Tuple[_Task, _Worker]] = []
+        self._idle: List[_Worker] = []
 
     # -- introspection ----------------------------------------------------
 
@@ -403,72 +485,67 @@ class JobExecutor:
         timeout = wait
         if self.timeout is not None:
             nearest = min(task.started + self.timeout
-                          for task, _proc, _conn in self._running)
+                          for task, _worker in self._running)
             timeout = max(0.0, min(wait, nearest - time.monotonic()))
         ready = set(_mp_connection.wait(
-            [conn for _task, _proc, conn in self._running], timeout))
+            [worker.conn for _task, worker in self._running], timeout))
 
         now = time.monotonic()
         for entry in list(self._running):
-            task, proc, conn = entry
-            if conn in ready:
-                self._running.remove(entry)
+            task, worker = entry
+            if worker.conn in ready:
                 try:
-                    message = conn.recv()
+                    kind, payload = worker.conn.recv()
                 except (EOFError, OSError):
                     # pipe closed without a payload: the worker died
                     # before (or while) sending
-                    message = None
-                proc.join()
-                conn.close()
-                if message is None:
-                    self._fail_or_retry(
-                        task, "failed",
-                        f"worker crashed (exitcode {proc.exitcode})",
-                        events)
-                else:
-                    kind, payload = message
-                    if kind == "ok":
-                        events.append(JobEvent(
-                            "ok", task.job, task.attempts, payload=payload,
-                            wall_time=now - task.first_started))
-                    else:
-                        self._fail_or_retry(task, "failed", payload, events)
+                    kind, payload = "crashed", None
             elif (self.timeout is not None
                   and now - task.started > self.timeout):
-                self._running.remove(entry)
-                proc.terminate()
-                proc.join()
-                conn.close()
-                self._fail_or_retry(
-                    task, "timeout",
-                    f"timed out after {self.timeout:g}s", events)
-            elif not proc.is_alive():
+                kind, payload = "timeout", \
+                    f"timed out after {self.timeout:g}s"
+            elif not worker.proc.is_alive():
                 # belt and braces: a dead worker's pipe should have been
                 # reported ready (EOF), but never wedge on one that isn't
-                self._running.remove(entry)
-                proc.join()
-                conn.close()
-                self._fail_or_retry(
-                    task, "failed",
-                    f"worker crashed (exitcode {proc.exitcode})", events)
+                kind, payload = "crashed", None
+            else:
+                continue
+            self._running.remove(entry)
+            if kind == "ok":
+                self._idle.append(worker)
+                events.append(JobEvent(
+                    "ok", task.job, task.attempts, payload=payload,
+                    wall_time=now - task.first_started))
+                continue
+            worker.kill()
+            if kind == "crashed":
+                payload = f"worker crashed (exitcode {worker.proc.exitcode})"
+            self._fail_or_retry(task,
+                                "timeout" if kind == "timeout" else "failed",
+                                payload, events)
         return events
 
     def _launch(self, task: _Task) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+        worker = self._idle.pop() if self._idle else self._fork()
         job = task.job
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, job.workload, job.config,
-                  job.warmup, job.measure, job.seed, job.sampling),
-            daemon=True)
-        proc.start()
-        child_conn.close()
+        try:
+            worker.conn.send((job.workload, job.config, job.warmup,
+                              job.measure, job.seed, job.sampling))
+        except OSError:
+            pass    # the worker died while idle: step() sees its EOF
         task.started = time.monotonic()
         if not task.first_started:
             task.first_started = task.started
         task.attempts += 1
-        self._running.append((task, proc, parent_conn))
+        self._running.append((task, worker))
+
+    def _fork(self) -> _Worker:
+        parent_end, child_end = self._ctx.Pipe()
+        proc = self._ctx.Process(target=_worker_loop,
+                                 args=(child_end, parent_end), daemon=True)
+        proc.start()
+        child_end.close()
+        return _Worker(proc, parent_end)
 
     def _fail_or_retry(self, task: _Task, status: str, error: str,
                        events: List[JobEvent]) -> None:
@@ -491,11 +568,23 @@ class JobExecutor:
     # -- teardown ---------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Terminate running workers and drop queued work."""
-        for _task, proc, conn in self._running:
-            proc.terminate()
-            proc.join()
-            conn.close()
+        """Stop idle workers, terminate busy ones, and drop queued work.
+
+        An idle worker is told to stop rather than left to see EOF: a
+        worker forked later holds a copy of an earlier worker's pipe
+        end, so closing ours alone does not reach it.
+        """
+        for worker in self._idle:
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass    # already dead; kill() below reaps it
+        for worker in self._idle:
+            worker.proc.join(_STOP_GRACE)
+            worker.kill()
+        for _task, worker in self._running:
+            worker.kill()
+        self._idle.clear()
         self._running.clear()
         self._pending.clear()
 

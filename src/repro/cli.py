@@ -102,6 +102,18 @@ def _at_least(minimum: int) -> Callable[[str], int]:
     return convert
 
 
+def _positive_float(text: str) -> float:
+    """argparse ``type=``: a float greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _sampling_spec(text: str) -> str:
     """argparse ``type=``: a valid sampling spec, kept as text so
     ``submit`` forwards it to the daemon unchanged."""
@@ -222,12 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="benchmark names (default: all; see --list)")
     bench_p.add_argument("--list", action="store_true", dest="list_benches",
                          help="list available benchmarks and exit")
-    bench_p.add_argument("--jobs", type=int, default=None,
+    bench_p.add_argument("--jobs", type=_at_least(1), default=None,
                          help="worker processes (default: "
                               "$REPRO_BENCH_JOBS or 1)")
-    bench_p.add_argument("--timeout", type=float, default=None,
+    bench_p.add_argument("--timeout", type=_positive_float, default=None,
                          help="per-simulation timeout in seconds")
-    bench_p.add_argument("--retries", type=int, default=1,
+    bench_p.add_argument("--retries", type=_at_least(0), default=1,
                          help="retries per failed/timed-out job (default 1)")
     bench_p.add_argument("--no-cache", action="store_true",
                          help="bypass the on-disk result cache")
@@ -279,12 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=8023,
                          help="TCP port (0 binds an ephemeral port; "
                               "default 8023)")
-    serve_p.add_argument("--jobs", type=int, default=None,
+    serve_p.add_argument("--jobs", type=_at_least(1), default=None,
                          help="worker processes (default: "
                               "$REPRO_BENCH_JOBS or 1)")
-    serve_p.add_argument("--timeout", type=float, default=None,
+    serve_p.add_argument("--timeout", type=_positive_float, default=None,
                          help="per-simulation timeout in seconds")
-    serve_p.add_argument("--retries", type=int, default=1,
+    serve_p.add_argument("--retries", type=_at_least(0), default=1,
                          help="retries per failed/timed-out job (default 1)")
     serve_p.add_argument("--no-cache", action="store_true",
                          help="bypass the on-disk result cache (results "
@@ -1023,7 +1035,15 @@ def _with_profile(args, fn: Callable[[], int]) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # the environment's runner settings are inputs too: refuse a bad one
+    # up front, naming the variable, instead of failing mid-command
+    try:
+        harness.bench_windows()
+        runner_mod.resolve_jobs()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     def dispatch() -> int:
         return _with_profile(args, lambda: _COMMANDS[args.command](args))

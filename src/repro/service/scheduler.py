@@ -547,12 +547,13 @@ class ServiceScheduler:
         self._thread.start()
 
     def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stopping.set()
-        self._wake.set()
-        self._thread.join()
-        self._thread = None
+        """Stop the scheduling thread, if one runs, then release the
+        executor's workers and the journal (after :meth:`drain` too)."""
+        if self._thread is not None:
+            self._stopping.set()
+            self._wake.set()
+            self._thread.join()
+            self._thread = None
         self.executor.shutdown()
         if self.journal is not None:
             self.journal.close()

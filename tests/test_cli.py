@@ -83,6 +83,13 @@ class TestParser:
         (["submit", "--warmup", "soon"], "--warmup"),
         (["trace", "leela", "--instructions", "-3"], "--instructions"),
         (["characterize", "--instructions", "0"], "--instructions"),
+        (["bench", "fig02_mpki", "--jobs", "0"], "--jobs"),
+        (["serve", "--jobs", "-3"], "--jobs"),
+        (["bench", "fig02_mpki", "--retries", "-2"], "--retries"),
+        (["serve", "--retries", "-2"], "--retries"),
+        (["bench", "fig02_mpki", "--timeout", "-1"], "--timeout"),
+        (["serve", "--timeout", "0"], "--timeout"),
+        (["bench", "fig02_mpki", "--timeout", "soon"], "--timeout"),
     ])
     def test_malformed_windows_and_specs_exit_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -90,6 +97,20 @@ class TestParser:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("variable, value", [
+        ("REPRO_BENCH_JOBS", "abc"),
+        ("REPRO_BENCH_SCALE", "bogus"),
+    ])
+    def test_malformed_env_settings_exit_2(self, variable, value,
+                                           monkeypatch, capsys):
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "fig02_mpki"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert variable in err and repr(value) in err
         assert "Traceback" not in err
 
     def test_sampling_spec_passes_through_as_text(self):

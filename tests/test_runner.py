@@ -1,16 +1,26 @@
 """Tests for the process-parallel experiment runner and its crash-safe
 result store: parallel-vs-serial equivalence, cache hit accounting,
-corrupt-entry recovery, per-job timeout, bounded retry, and the manifest.
+corrupt-entry recovery, per-job timeout, bounded retry, the manifest,
+and the lifecycle of the long-lived worker processes.
 
 Simulation windows are tiny so each job is ~50 ms; the determinism
 guarantees under test are window-independent.
 """
 
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import harness
+from repro.analysis import runner as runner_mod
 from repro.analysis.runner import (
     Job,
     JobExecutor,
@@ -214,6 +224,10 @@ class TestScheduling:
         monkeypatch.setenv("REPRO_BENCH_JOBS", "3")
         assert resolve_jobs() == 3
         assert resolve_jobs(0) == 1
+        for bad in ("abc", "0", "-2"):
+            monkeypatch.setenv("REPRO_BENCH_JOBS", bad)
+            with pytest.raises(ValueError, match="REPRO_BENCH_JOBS"):
+                resolve_jobs()
 
     def test_using_runner_routes_harness_sweep(self, tmp_path, monkeypatch):
         cache_to(monkeypatch, tmp_path)
@@ -240,6 +254,131 @@ class TestExecutor:
         assert events[-1].attempts == 1
         assert events[-1].payload["workload"] == "xz"
         assert events[-1].wall_time > 0
+
+
+def run_payloads(jobs):
+    """Each job's payload from a 1-slot executor, run in ``jobs`` order."""
+    payloads = {}
+    with JobExecutor(slots=1, retries=0) as executor:
+        for job in jobs:
+            executor.submit(job)
+        while not executor.idle:
+            for event in executor.step():
+                assert event.kind in ("started", "ok"), event.error
+                if event.kind == "ok":
+                    payloads[event.job] = json.dumps(event.payload,
+                                                     sort_keys=True)
+    return payloads
+
+
+def before_each_job(monkeypatch, hook):
+    """Call ``hook(workload)`` in the worker ahead of every job; its
+    return value replaces the workload. Workers are forked, so they
+    inherit the patched module global."""
+    original = runner_mod._worker_main
+
+    def patched(conn, workload, *rest):
+        original(conn, hook(workload), *rest)
+    monkeypatch.setattr(runner_mod, "_worker_main", patched)
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestWorkerPool:
+    def test_one_worker_serves_every_job(self, tmp_path, monkeypatch):
+        cache_to(monkeypatch, tmp_path / "cache")
+        pids = tmp_path / "pids"
+
+        def record_pid(workload):
+            with pids.open("a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return workload
+        before_each_job(monkeypatch, record_pid)
+        cfg = small_core_config()
+        jobs = [Job("xz", cfg, WARMUP, MEASURE),
+                Job("leela", cfg.with_apf(), WARMUP, MEASURE),
+                Job("xz", cfg.with_apf(), WARMUP, MEASURE)]
+        forward = run_payloads(jobs)
+        served = pids.read_text().split()
+        assert len(served) == 3 and len(set(served)) == 1
+        assert int(served[0]) != os.getpid()
+        # a reused worker carries no state from one job into the next
+        assert forward == run_payloads(jobs[::-1])
+
+    @pytest.mark.parametrize("failure", ["crash", "raise"])
+    def test_failed_attempt_costs_its_worker(self, tmp_path, monkeypatch,
+                                             failure):
+        cache_to(monkeypatch, tmp_path / "cache")
+        pids = tmp_path / "pids"
+        failed_once = tmp_path / "failed-once"
+
+        def fail_first_attempt(workload):
+            with pids.open("a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            if failed_once.exists():
+                return workload
+            failed_once.touch()
+            if failure == "crash":
+                os._exit(3)
+            return "no-such-workload"     # raises inside _worker_main
+        before_each_job(monkeypatch, fail_first_attempt)
+        job = Job("xz", small_core_config(), WARMUP, MEASURE)
+        runner = Runner(jobs=1, retries=1, progress=False)
+        results = runner.run([job])
+        assert results[job].workload == "xz"
+        [entry] = runner.manifest.jobs
+        assert entry["status"] == "ok" and entry["attempts"] == 2
+        [retry] = [e for e in runner.manifest.events
+                   if e["kind"] == "retry"]
+        assert retry["status"] == "failed"
+        if failure == "crash":
+            assert retry["error"] == "worker crashed (exitcode 3)"
+        first, second = pids.read_text().split()
+        assert first != second and not alive(int(first))
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process states from /proc")
+    def test_idle_worker_exits_when_its_owner_is_killed(self, tmp_path):
+        script = textwrap.dedent("""
+            import multiprocessing, time
+            from repro.analysis.runner import JobExecutor, make_job
+            from repro.common.config import small_core_config
+            executor = JobExecutor(slots=1)
+            executor.submit(make_job("xz", small_core_config(), 400, 400))
+            while not executor.idle:
+                executor.step()
+            [worker] = multiprocessing.active_children()
+            print(worker.pid, flush=True)
+            time.sleep(600)
+        """)
+        src = Path(harness.__file__).resolve().parents[2]
+        env = dict(os.environ,
+                   PYTHONPATH=str(src) + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""),
+                   REPRO_CACHE_DIR=str(tmp_path))
+        with subprocess.Popen([sys.executable, "-c", script], env=env,
+                              stdout=subprocess.PIPE, text=True) as owner:
+            try:
+                ready, _, _ = select.select([owner.stdout], [], [], 120)
+                assert ready, "the owner never finished its first job"
+                worker = int(owner.stdout.readline())
+                assert alive(worker)
+            finally:
+                owner.kill()
+        deadline = time.monotonic() + 10
+        while alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphaned = alive(worker)
+        if orphaned:
+            os.kill(worker, signal.SIGKILL)
+        assert not orphaned, "the idle worker outlived its owner"
 
 
 class TestManifest:

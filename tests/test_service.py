@@ -585,7 +585,7 @@ class TestRecovery:
             stats = scheduler.recover(replay)
             scheduler.drain()
         finally:
-            scheduler.executor.shutdown()
+            scheduler.stop()
         assert stats["requests_resumed"] == 1
         assert stats["leaves_rehydrated"] == 1       # xz from the cache
         assert stats["leaves_requeued"] == 2
@@ -669,17 +669,17 @@ class TestRecovery:
         try:
             stats = scheduler.recover(replay)
             scheduler.drain()
+            detail = scheduler.request_status("r0007-feed")
+            response = scheduler.submit_request(sweep_doc(["xz"]))
         finally:
-            scheduler.executor.shutdown()
+            scheduler.stop()
         assert stats["failures_replayed"] == 1
-        detail = scheduler.request_status("r0007-feed")
         assert detail["status"] == "failed"
         states = {n["label"]: n["state"] for n in detail["nodes_detail"]}
         assert states["xz/base"] == "failed"
         assert states["xz/delta"] == "poisoned"
         assert states["xz/test"] == "done"     # independent branch ran
         # seq restored past the journalled admission: no id collision
-        response = scheduler.submit_request(sweep_doc(["xz"]))
         assert response["request_id"].startswith("r0008-")
 
     def test_build_service_fresh_archives_unreplayed(self, tmp_path,
@@ -715,7 +715,7 @@ class TestRecovery:
                 response["request_id"])
             assert detail is not None and detail["recovered"] is True
         finally:
-            service.scheduler.executor.shutdown()
+            service.stop()
 
     def test_build_service_unreplayable_journal_raises(self, tmp_path,
                                                        monkeypatch):
