@@ -15,12 +15,6 @@ Results go to ``BENCH_simperf.json`` at the repo root, keyed by
   every run (so a CI artifact always carries the fresh numbers).
 * ``geomean_speedup`` — geomean of after/before across rows, when both
   exist.
-* ``parallel`` — optional: aggregate throughput with cells fanned across
-  a :class:`repro.analysis.runner.JobExecutor` worker pool (written only
-  by ``--cells-parallel N``; see :func:`measure_parallel`). Kept separate
-  from ``before``/``after`` so the single-process trajectory stays
-  comparable across PRs — parallel numbers measure pool scaling, not the
-  core loop.
 
 Throughput is machine-dependent; the committed numbers document the
 speedup on one machine and give CI a coarse regression tripwire
@@ -127,81 +121,6 @@ def measure() -> Rows:
                 "obs_overhead": round(obs_wall / wall, 3),
             }
     return rows
-
-
-def measure_parallel(slots: int) -> dict:
-    """Fan the bench cells across a :class:`JobExecutor` worker pool.
-
-    Each (workload, config) cell becomes one :class:`Job` running the
-    standard ``Simulator`` path on one of the pool's ``slots`` worker
-    processes — no result cache in the loop, so every cell is a fresh,
-    honestly-timed simulation. The quantity of interest is *campaign*
-    throughput: total simulated kcycles across all cells over the
-    campaign's wall-clock, which is what a many-config sweep
-    experiences. Per-cell wall times (which include handing the job to
-    a worker, and the fork of a slot's first worker) are reported for
-    diagnosis but are not comparable to the single-process rows.
-    """
-    from repro.analysis.runner import Job, JobExecutor
-
-    warmup, window = bench_windows()
-    names = {}
-    cells: Dict[str, Dict[str, float]] = {}
-    failures = []
-    with JobExecutor(slots=slots, retries=0) as executor:
-        for workload in ALL_NAMES:
-            for label, config in (("base", small_core_config()),
-                                  ("apf", small_core_config().with_apf())):
-                job = Job(workload, config, warmup, window, SEED)
-                names[id(job)] = f"{workload}/{label}"
-                executor.submit(job)
-        start = time.perf_counter()
-        while not executor.idle:
-            for event in executor.step():
-                if event.kind == "ok":
-                    cells[names[id(event.job)]] = {
-                        "cycles": event.payload["cycles"],
-                        "wall_s": round(event.wall_time, 4),
-                    }
-                elif event.kind in ("failed", "timeout"):
-                    failures.append(f"{names[id(event.job)]}: "
-                                    f"{event.error}")
-        campaign_wall = time.perf_counter() - start
-    if failures:
-        raise RuntimeError("parallel bench cells failed:\n"
-                           + "\n".join(failures))
-    total_kcycles = sum(c["cycles"] for c in cells.values()) / 1000.0
-    return {
-        "slots": slots,
-        "campaign_wall_s": round(campaign_wall, 4),
-        "aggregate_kcycles_per_s": round(total_kcycles / campaign_wall, 3),
-        "cells": {key: cells[key] for key in sorted(cells)},
-    }
-
-
-def update_parallel_payload(parallel: dict) -> dict:
-    """Write the ``parallel`` section for the current scale, leaving the
-    single-process ``before``/``after`` rows untouched."""
-    payload = load_payload()
-    section = payload["scales"].setdefault(_scale(), {})
-    if not isinstance(section, dict):
-        section = payload["scales"][_scale()] = {}
-    section["parallel"] = parallel
-    RESULT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                           + "\n")
-    return payload
-
-
-def render_parallel(parallel: dict) -> str:
-    lines = [f"simperf --cells-parallel: {parallel['slots']} worker slots "
-             f"(scale={_scale()}, seed={SEED})",
-             f"campaign wall: {parallel['campaign_wall_s']:.2f}s, "
-             f"aggregate {parallel['aggregate_kcycles_per_s']:.1f} "
-             f"kcycles/s"]
-    for key, cell in parallel["cells"].items():
-        lines.append(f"  {key:<22}{cell['cycles']:>9} cycles  "
-                     f"{cell['wall_s']:>7.3f}s")
-    return "\n".join(lines)
 
 
 def geomean(values) -> float:
@@ -322,27 +241,10 @@ def run() -> str:
     return text
 
 
-def main(argv=None) -> int:
-    """Direct entry point: ``python benchmarks/bench_simperf.py``.
-
-    ``--cells-parallel N`` switches to the worker-pool mode and writes
-    the ``parallel`` JSON section; without it this is exactly the
-    registered ``simperf`` bench.
-    """
-    import argparse
-    parser = argparse.ArgumentParser(description=run.__doc__)
-    parser.add_argument("--cells-parallel", type=int, default=0,
-                        metavar="N",
-                        help="fan bench cells across N JobExecutor worker "
-                             "slots and record aggregate throughput under "
-                             "the separate 'parallel' JSON key")
-    args = parser.parse_args(argv)
-    if args.cells_parallel > 0:
-        parallel = measure_parallel(args.cells_parallel)
-        update_parallel_payload(parallel)
-        print(render_parallel(parallel))
-    else:
-        run()
+def main() -> int:
+    """Direct entry point: ``python benchmarks/bench_simperf.py`` runs
+    the registered ``simperf`` bench."""
+    run()
     return 0
 
 

@@ -1,8 +1,7 @@
-"""Analysis: metrics, reporting, harness, area/energy, tracing, plots."""
+"""Analysis: metrics, reporting, harness, runner, area/energy, plots."""
 
 from repro.analysis.area import OverheadModel, StructureBudget
 from repro.analysis.characterize import TraceProfile, characterize
-from repro.analysis.pipeview import PipeTracer, UopTimeline
 from repro.analysis.plots import bar_chart, grouped_bar_chart, sparkline
 from repro.analysis.harness import (
     CACHE_SCHEMA_VERSION,
@@ -32,8 +31,8 @@ from repro.analysis.report import format_pct, render_series, render_table
 
 __all__ = [
     "BUCKET_LABELS", "CACHE_SCHEMA_VERSION", "Job", "OverheadModel",
-    "PipeTracer", "RunManifest", "Runner", "RunnerError", "StructureBudget",
-    "TraceProfile", "UopTimeline", "bar_chart", "bench_windows",
+    "RunManifest", "Runner", "RunnerError", "StructureBudget",
+    "TraceProfile", "bar_chart", "bench_windows",
     "cache_path", "characterize", "config_signature", "coverage_buckets",
     "current_runner", "format_pct", "geomean_speedup", "grouped_bar_chart",
     "mpki_table", "render_series", "render_table", "run_cached", "sparkline",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping
 
 from repro.common.statistics import StatisticsError, geomean
 from repro.core.simulator import SimResult
@@ -65,7 +65,3 @@ def coverage_buckets(results: Iterable[SimResult]) -> Dict[str, float]:
         return {label: 0.0 for label in BUCKET_LABELS}
     return {label: counts[i] / total
             for i, label in enumerate(BUCKET_LABELS)}
-
-
-def sequence_geomean(values: Sequence[float]) -> float:
-    return geomean(values)

@@ -68,6 +68,8 @@ class ShadowRAS:
         self._state: Optional[Tuple[Tuple[int, ...], int]] = ((), 0)
 
     def push(self, return_pc: int) -> None:
+        if not self.capacity:
+            return      # a zero-entry overlay drops every push
         if len(self._overlay) >= self.capacity:
             self._overlay.pop(0)
         self._overlay.append(return_pc)

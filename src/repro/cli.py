@@ -42,7 +42,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -66,14 +65,15 @@ from repro.obs.accounting import (
 from repro.obs import (
     EventRecorder,
     MetricStream,
-    MultiSink,
     current_metric_stream,
+    render_timeline,
     result_metric_fields,
     using_metric_stream,
     write_chrome_trace,
     write_o3_pipeview,
 )
 from repro.sampling import parse_sampling
+from repro.service.requests import RequestError, config_from_spec
 from repro.common.config import (
     AlternatePathMode,
     CoreConfig,
@@ -385,33 +385,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _base_config(args) -> CoreConfig:
-    config = (paper_core_config() if args.scale == "paper"
-              else small_core_config())
+def _spec_from_args(args, apf: bool) -> dict:
+    """The service config spec (see :mod:`repro.service.requests`) the
+    flags describe; ``apf`` adds the block built from the APF flags,
+    which ``sweep`` does not have."""
+    spec: Dict[str, object] = {}
+    if args.scale != "small":
+        spec["scale"] = args.scale
     if args.predictor != "tage":
-        config = dataclasses.replace(config, predictor_kind=args.predictor)
-    return config
+        spec["predictor"] = args.predictor
+    if apf:
+        spec["apf"] = {
+            "mode": "dpip" if args.dpip else "apf",
+            "depth": args.depth,
+            "buffers": args.buffers,
+            "scheme": args.scheme,
+            "tage_banks": args.tage_banks,
+            "confidence": not args.no_confidence,
+        }
+    return spec
 
 
-def config_from_args(args) -> CoreConfig:
-    """Build the (possibly APF-enabled) core config for run/compare."""
-    config = _base_config(args)
-    if not (args.apf or args.dpip):
-        return config
-    scheme = {"banked": FetchScheme.BANKED,
-              "timeshare": FetchScheme.TIME_SHARED,
-              "dualport": FetchScheme.DUAL_PORT}[args.scheme]
-    overrides = dict(
-        pipeline_depth=args.depth,
-        num_buffers=args.buffers,
-        buffer_capacity_uops=8 * max(1, args.depth),
-        fetch_scheme=scheme,
-        tage_banks=args.tage_banks,
-        use_tage_confidence=not args.no_confidence,
-    )
-    if args.dpip:
-        overrides.update(mode=AlternatePathMode.DPIP, num_buffers=0)
-    return config.with_apf(**overrides)
+def config_from_args(args, apf: Optional[bool] = None) -> CoreConfig:
+    """Build the core config the flags describe, through the service's
+    ``config_from_spec`` so both front doors share one set of rules.
+    ``apf`` defaults to whether ``--apf`` or ``--dpip`` was given."""
+    if apf is None:
+        apf = getattr(args, "apf", False) or getattr(args, "dpip", False)
+    return config_from_spec(_spec_from_args(args, apf))
 
 
 def _workload_list(spec: str) -> List[str]:
@@ -481,10 +482,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     names = _workload_list(args.workloads)
-    base_cfg = _base_config(args)
-    if not (args.apf or args.dpip):
-        args.apf = True   # comparing requires an APF side
-    apf_cfg = config_from_args(args)
+    base_cfg = config_from_args(args, apf=False)
+    apf_cfg = config_from_args(args, apf=True)
     base = {}
     apf = {}
     for name in names:
@@ -521,7 +520,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base_cfg = _base_config(args)
+    base_cfg = config_from_args(args)
     base = _run_one(args.workload, base_cfg, args)
     points = {
         "depth": [("3", dict(pipeline_depth=3, buffer_capacity_uops=24)),
@@ -709,7 +708,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.analysis.pipeview import PipeTracer
     from repro.core.ooo_core import OoOCore
     from repro.workloads.profiles import load_workload
 
@@ -717,8 +715,7 @@ def _cmd_trace(args) -> int:
     program, trace = load_workload(args.workload, args.instructions)
     core = OoOCore(config, program, trace, seed=args.seed)
     recorder = EventRecorder(capacity=args.capacity)
-    tracer = PipeTracer(core, attach=False)
-    core.attach_obs(MultiSink([recorder, tracer]))
+    core.attach_obs(recorder)
     core.run(args.instructions)
 
     if args.format == "chrome":
@@ -733,7 +730,8 @@ def _cmd_trace(args) -> int:
         print(f"O3PipeView trace: {records} uop records -> {out}")
     else:
         end = min(core.now, args.start + args.cycles)
-        print(tracer.render(args.start, max(end, args.start + 1)))
+        print(render_timeline(recorder.events, args.start,
+                              max(end, args.start + 1)))
 
     occupancy = recorder.occupancy_rows()
     rows = [(name, f"{p50:.0f}", f"{p90:.0f}", f"{mean:.1f}", samples)
@@ -796,25 +794,9 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _apf_spec_from_args(args) -> dict:
-    return {
-        "mode": "dpip" if args.dpip else "apf",
-        "depth": args.depth,
-        "buffers": args.buffers,
-        "scheme": args.scheme,
-        "tage_banks": args.tage_banks,
-        "confidence": not args.no_confidence,
-    }
-
-
 def _request_from_args(args) -> dict:
-    base_spec: Dict[str, object] = {}
-    if args.scale != "small":
-        base_spec["scale"] = args.scale
-    if args.predictor != "tage":
-        base_spec["predictor"] = args.predictor
-    apf_spec = dict(base_spec)
-    apf_spec["apf"] = _apf_spec_from_args(args)
+    base_spec = _spec_from_args(args, apf=False)
+    apf_spec = _spec_from_args(args, apf=True)
     workloads = _workload_list(args.workloads)
     doc: Dict[str, object] = {
         "kind": args.kind,
@@ -1042,6 +1024,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         harness.bench_windows()
         runner_mod.resolve_jobs()
+        if hasattr(args, "depth"):
+            # the APF flags obey the service's spec rules, even unused
+            config_from_args(args, apf=True)
+    except RequestError as exc:
+        parser.error(f"argument --{exc.field}: {exc}")
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -77,10 +77,6 @@ class Bundle:
     def first_seq(self) -> int:
         return self.uops[0].seq
 
-    @property
-    def last_seq(self) -> int:
-        return self.uops[-1].seq
-
 
 class BranchUnit:
     """Shared prediction structures: direction predictor, BTB, indirect,
@@ -381,12 +377,6 @@ class MainFetchEngine:
         else:
             self.cursor = trace_index + 1
         return du
-
-    def _advance_sequential(self, su) -> None:
-        if self.wrong_path:
-            self.pc = su.fallthrough
-        else:
-            self.cursor += 1
 
     # -- branch handling -----------------------------------------------------
 

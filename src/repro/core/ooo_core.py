@@ -18,7 +18,6 @@ instead; both modes are bit-identical in timing and statistics (see
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
@@ -163,10 +162,6 @@ class OoOCore:
         # every other configuration skips that bookkeeping.
         self.fetch.publish_banks = scheme == FetchScheme.BANKED
         self._done_scratch = [0] * config.frontend.width
-        #: env-gated debug mode: re-derive every skipped window's no-op
-        #: conditions from first principles (next_wakeup contract checks)
-        self._debug_skips = os.environ.get(
-            "REPRO_DEBUG_SKIPS", "") not in ("", "0")
 
         # hot-path counter cells (see repro.common.statistics.StatCell)
         stats = self.stats
@@ -256,9 +251,10 @@ class OoOCore:
         The sink receives a callback at every pipeline state change —
         identically under both loop drivers. The core never imports
         :mod:`repro.obs`; any object with the :class:`~repro.obs.ObsSink`
-        callbacks works, and :class:`~repro.obs.MultiSink` fans out to
-        several. Detach (or never attach) for performance runs: the
-        disabled path costs one ``is not None`` check per phase.
+        callbacks works, and :class:`~repro.obs.EventRecorder` is the one
+        the trace views read. Detach (or never attach) for performance
+        runs: the disabled path costs one ``is not None`` check per
+        phase.
         """
         self._obs = sink
         self.fetch.obs = sink
@@ -372,8 +368,6 @@ class OoOCore:
                 nxt = max_cycles
             skipped = nxt - self.now - 1
             if skipped > 0:
-                if self._debug_skips:
-                    self._verify_skip_window(now + 1, nxt - 1)
                 if self._collect:
                     cell = self._stall_cell
                     if cell is not None:
@@ -390,64 +384,6 @@ class OoOCore:
             if nxt >= next_trim:
                 self.exec.trim(nxt - trim_horizon)
                 next_trim = (nxt | trim_mask) + 1
-
-    def _verify_skip_window(self, start: int, end: int) -> None:
-        """Debug assertion mode (``REPRO_DEBUG_SKIPS=1``): prove the
-        skipped window ``[start, end]`` is a no-op by re-deriving every
-        ``next_wakeup`` contract from the post-cycle state — the facts
-        the per-cycle reference loop would have observed on each of those
-        cycles. Any violation means a stage under-reported its wakeup
-        (a stale-wakeup bug) and raises an AssertionError naming it.
-        """
-        events = self.events
-        assert not events or events[0][0] > end, (
-            f"skip [{start},{end}]: branch resolution due at "
-            f"{events[0][0]}")
-        rob = self.rob
-        assert not rob or rob[0].done_cycle > end, (
-            f"skip [{start},{end}]: ROB head completes at "
-            f"{rob[0].done_cycle}")
-        blocked = self._stall_cell is not None
-        rq = self.restore_queue
-        rq_pending = bool(rq) and rq[0][0] <= end
-        if rq_pending:
-            # an already-ready head must have its stall batched; a head
-            # that becomes ready *inside* the window means the window
-            # should have ended there
-            assert rq[0][0] < start, (
-                f"skip [{start},{end}]: restore-queue head becomes "
-                f"ready mid-window at {rq[0][0]}")
-            assert blocked, (
-                f"skip [{start},{end}]: restore-queue head ready at "
-                f"{rq[0][0]} but no stall batched")
-        ftq = self.ftq
-        if ftq:
-            head = ftq[0]
-            bundle = head[0]
-            assert head[1] < len(bundle.uops), (
-                f"skip [{start},{end}]: exhausted head bundle left in "
-                f"the FTQ")
-            ready = bundle.ready_cycle
-            if ready <= end and not rq_pending:
-                assert ready < start, (
-                    f"skip [{start},{end}]: FTQ head becomes ready "
-                    f"mid-window at {ready}")
-                assert blocked, (
-                    f"skip [{start},{end}]: FTQ head ready at "
-                    f"{ready} but no stall batched")
-        if blocked and len(self.sched_heap) >= self._sched_entries:
-            t = self.sched_heap[0]
-            assert t > end, (
-                f"skip [{start},{end}]: scheduler slot frees at {t}")
-        if len(ftq) < self._ftq_entries:
-            t = self.fetch.next_wakeup(start - 1)
-            assert t is None or t > end, (
-                f"skip [{start},{end}]: fetch can produce a bundle at "
-                f"{t}")
-        if self.apf is not None:
-            t = self.apf.next_wakeup(start - 1, self.inflight)
-            assert t is None or t > end, (
-                f"skip [{start},{end}]: APF can do real work at {t}")
 
     def _next_cycle(self) -> Optional[int]:
         """Earliest cycle after ``now`` at which any stage can progress,
@@ -1382,13 +1318,8 @@ class OoOCore:
                     # branches enter ``inflight`` in fetch order and the
                     # ROB retires in fetch order, so an out-of-deque-order
                     # retire should be impossible; count it rather than
-                    # swallowing it silently, and fail loudly in debug mode
+                    # swallowing it silently
                     self._c_retire_out_of_order.value += 1
-                    if self._debug_skips:
-                        head = inflight[0] if inflight else None
-                        raise AssertionError(
-                            f"branch {rec!r} retired out of inflight-deque "
-                            f"order at cycle {now} (head: {head!r})")
                     try:
                         inflight.remove(rec)
                     except ValueError:

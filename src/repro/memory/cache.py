@@ -43,12 +43,6 @@ class Cache:
     def _set_index(self, line: int) -> int:
         return line % self.num_sets
 
-    def _offset_bits(self) -> int:
-        return self._offset_shift
-
-    def line_of(self, address: int) -> int:
-        return address >> self._offset_shift
-
     def probe(self, address: int) -> bool:
         """Check residency without updating LRU or allocating."""
         line = address >> self._offset_shift

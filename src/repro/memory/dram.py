@@ -57,11 +57,6 @@ class Dram:
         self._bank_free_at = [min(free, cycle)
                               for free in self._bank_free_at]
 
-    def _bank_and_row(self, address: int) -> tuple:
-        row = address // self.config.row_bytes
-        bank = row % self.config.num_banks
-        return bank, row
-
     def access(self, address: int, cycle: int = 0) -> int:
         """Return the latency of a DRAM access issued at ``cycle``."""
         cfg = self.config

@@ -14,11 +14,11 @@ Three layers, cheapest first:
 * **Sinks** — :class:`ObsSink` subclasses consume the callbacks.
   :class:`EventRecorder` serialises them into a bounded ring buffer of
   plain tuples and feeds per-subsystem occupancy histograms;
-  :class:`~repro.analysis.pipeview.PipeTracer` builds per-uop timelines
-  online; :class:`MultiSink` fans one stream out to several sinks.
-* **Exporters / metrics** — :mod:`repro.obs.exporters` renders a
-  recorded stream as Chrome trace-event (Perfetto) JSON or
-  gem5-O3PipeView/Konata text; :mod:`repro.obs.metrics` defines the
+  :func:`replay_timelines` rebuilds per-uop lifecycles from the tuples.
+* **Exporters / metrics** — :mod:`repro.obs.exporters` renders those
+  lifecycles as Chrome trace-event (Perfetto) JSON, gem5-O3PipeView/
+  Konata text, or a text timeline of one cycle window
+  (:func:`render_timeline`); :mod:`repro.obs.metrics` defines the
   machine-readable metric schema and the JSONL :class:`MetricStream`
   the runner manifest and sampling intervals publish into.
 * **Cycle accounting** — :mod:`repro.obs.accounting` owns the top-down
@@ -58,7 +58,6 @@ from repro.obs.events import (
     F_RESTORED,
     F_WRONG_PATH,
     EventRecorder,
-    MultiSink,
     ObsSink,
     UopLife,
     replay_timelines,
@@ -67,6 +66,7 @@ from repro.obs.exporters import (
     ExportFormatError,
     chrome_trace,
     o3_pipeview,
+    render_timeline,
     validate_chrome_trace,
     validate_o3_trace,
     write_chrome_trace,
@@ -102,11 +102,12 @@ __all__ = [
     "EV_SQUASH", "EVENT_NAMES",
     "EventRecorder", "ExportFormatError", "F_BRANCH", "F_MISPREDICT",
     "F_RESTORED", "F_WRONG_PATH", "METRIC_KINDS", "METRIC_SCHEMA_VERSION",
-    "MetricSchemaError", "MetricStream", "MultiSink", "ObsSink",
+    "MetricSchemaError", "MetricStream", "ObsSink",
     "SPAN_NAMES", "SpanError", "SpanNode", "UopLife",
     "apf_coverage", "check_spans", "chrome_trace", "cpi_slot_deltas",
     "current_metric_stream", "diff_stacks", "load_stacks", "o3_pipeview",
-    "render_span_tree", "replay_timelines", "result_metric_fields",
+    "render_span_tree", "render_timeline", "replay_timelines",
+    "result_metric_fields",
     "span_tree", "spans_to_chrome_trace", "stack_from_counters",
     "stack_from_result", "summarize_spans", "using_metric_stream",
     "validate_chrome_trace", "validate_metric_record", "validate_o3_trace",

@@ -129,10 +129,6 @@ class CpiStack:
             return {leaf: 0.0 for leaf in CPI_LEAVES}
         return {leaf: self.slots[leaf] / total for leaf in CPI_LEAVES}
 
-    def group_slots(self) -> Dict[str, int]:
-        return {group: sum(self.slots[leaf] for leaf in leaves)
-                for group, leaves in CPI_GROUPS.items()}
-
     def leaf_cycles(self, leaf: str) -> float:
         """Slots of ``leaf`` expressed in whole-machine cycles."""
         return self.slots[leaf] / self.width if self.width else 0.0

@@ -11,12 +11,13 @@ observes an identical event stream under either driver; this is asserted
 by ``tests/test_obs_events.py``.
 
 Sinks are duck-typed — the core never imports this module. Subclass
-:class:`ObsSink` for the no-op defaults, or combine several sinks with
-:class:`MultiSink`. :class:`EventRecorder` is the standard sink: it
-flattens callbacks into compact tuples in a bounded ring buffer (oldest
-events drop first) and samples per-subsystem occupancy histograms, from
-which :func:`replay_timelines` and the exporters in
-:mod:`repro.obs.exporters` reconstruct per-uop lifecycles.
+:class:`ObsSink` for the no-op defaults. :class:`EventRecorder` is the
+standard sink: it flattens callbacks into compact tuples in a bounded
+ring buffer (oldest events drop first) and samples per-subsystem
+occupancy histograms. :func:`replay_timelines` rebuilds per-uop
+lifecycles from the tuples, and every view in
+:mod:`repro.obs.exporters` (Chrome trace, O3PipeView, text timeline)
+renders from those.
 
 Event tuples all start ``(kind, cycle, ...)``:
 
@@ -57,7 +58,7 @@ __all__ = [
     "EV_SQUASH", "EV_RESTORE", "EV_APF_JOB_START", "EV_APF_JOB_COMPLETE",
     "EV_APF_BUFFER_FILL", "EV_ICACHE_STALL", "EV_BTB_MISFETCH",
     "EVENT_NAMES", "F_WRONG_PATH", "F_RESTORED", "F_BRANCH", "F_MISPREDICT",
-    "ObsSink", "MultiSink", "EventRecorder", "UopLife", "replay_timelines",
+    "ObsSink", "EventRecorder", "UopLife", "replay_timelines",
 ]
 
 EV_FETCH_BUNDLE = 0
@@ -149,57 +150,6 @@ class ObsSink:
 
     def on_btb_misfetch(self, cycle: int, pc: int) -> None:
         """A taken branch missed the BTB (misfetch re-steer)."""
-
-
-class MultiSink(ObsSink):
-    """Fan one instrumentation stream out to several sinks, in order."""
-
-    def __init__(self, sinks: Iterable[ObsSink]) -> None:
-        self.sinks: List[ObsSink] = list(sinks)
-
-    def on_fetch(self, cycle, bundle, ftq_len):
-        for sink in self.sinks:
-            sink.on_fetch(cycle, bundle, ftq_len)
-
-    def on_allocate(self, cycle, du, rob_len, sched_len):
-        for sink in self.sinks:
-            sink.on_allocate(cycle, du, rob_len, sched_len)
-
-    def on_resolve(self, cycle, rec):
-        for sink in self.sinks:
-            sink.on_resolve(cycle, rec)
-
-    def on_retire(self, cycle, du):
-        for sink in self.sinks:
-            sink.on_retire(cycle, du)
-
-    def on_squash(self, cycle, after_seq):
-        for sink in self.sinks:
-            sink.on_squash(cycle, after_seq)
-
-    def on_restore(self, cycle, rec, dus):
-        for sink in self.sinks:
-            sink.on_restore(cycle, rec, dus)
-
-    def on_apf_job_start(self, cycle, rec):
-        for sink in self.sinks:
-            sink.on_apf_job_start(cycle, rec)
-
-    def on_apf_job_complete(self, cycle, job):
-        for sink in self.sinks:
-            sink.on_apf_job_complete(cycle, job)
-
-    def on_apf_buffer_fill(self, cycle, occupancy):
-        for sink in self.sinks:
-            sink.on_apf_buffer_fill(cycle, occupancy)
-
-    def on_icache_stall(self, cycle, extra):
-        for sink in self.sinks:
-            sink.on_icache_stall(cycle, extra)
-
-    def on_btb_misfetch(self, cycle, pc):
-        for sink in self.sinks:
-            sink.on_btb_misfetch(cycle, pc)
 
 
 class EventRecorder(ObsSink):
@@ -308,12 +258,9 @@ class EventRecorder(ObsSink):
 
 
 class UopLife:
-    """Per-uop lifecycle replayed from a recorded event stream.
-
-    Mirrors the fields of
-    :class:`~repro.analysis.pipeview.UopTimeline`, but is built from
-    tuples instead of live pipeline objects.
-    """
+    """Per-uop lifecycle replayed from a recorded event stream: the
+    fetch, allocate, done, retire and squash cycles of one dynamic uop,
+    plus its fetch-time flags."""
 
     __slots__ = ("seq", "pc", "op", "flags", "fetch_cycle",
                  "allocate_cycle", "done_cycle", "retire_cycle",

@@ -1,6 +1,6 @@
-"""Render a recorded event stream as standard trace formats.
+"""Render a recorded event stream as trace formats and text timelines.
 
-Two targets, both reconstructed from the same
+Three views, all reconstructed from the same
 :func:`repro.obs.events.replay_timelines` lifecycles so they can never
 disagree with each other:
 
@@ -12,8 +12,11 @@ disagree with each other:
 * :func:`o3_pipeview` — the gem5 ``O3PipeView:`` text format consumed by
   Konata and gem5's own pipeline viewer. One 7-stage record per uop;
   squashed uops carry a retire tick of 0, exactly as gem5 emits them.
+* :func:`render_timeline` — a gem5-pipeview-style text timeline of one
+  cycle window (``repro trace --format text``): the view for checking
+  whether an APF restore filled the re-fill bubble.
 
-Both exporters are deterministic functions of the event stream (records
+All three are deterministic functions of the event stream (records
 ordered by seq, JSON keys sorted by the write helper), which is what lets
 ``tests/test_obs_exporters.py`` golden-file them. The paired validators
 raise :class:`ExportFormatError` with a record index on malformed input;
@@ -37,7 +40,7 @@ from repro.obs.events import (
 )
 
 __all__ = ["ExportFormatError", "chrome_trace", "o3_pipeview",
-           "validate_chrome_trace", "validate_o3_trace",
+           "render_timeline", "validate_chrome_trace", "validate_o3_trace",
            "write_chrome_trace", "write_o3_pipeview"]
 
 #: "X" events on a fixed lane pool keep concurrent uops visually separate
@@ -236,6 +239,58 @@ def validate_o3_trace(text: str) -> None:
         if len(tail) != 5 or tail[3] != "store":
             raise ExportFormatError(
                 f"record {record}: malformed retire line")
+
+
+def _timeline_glyph(life: UopLife, cycle: int) -> str:
+    if cycle < life.fetch_cycle:
+        return " "
+    if life.squash_cycle is not None and cycle >= life.squash_cycle:
+        return "x" if cycle == life.squash_cycle else " "
+    if life.retire_cycle is not None and cycle >= life.retire_cycle:
+        return "R" if cycle == life.retire_cycle else " "
+    if life.allocate_cycle is None or cycle < life.allocate_cycle:
+        return "f"
+    if cycle == life.allocate_cycle:
+        return "a"
+    if life.done_cycle is not None and cycle >= life.done_cycle:
+        return "d"
+    return "="
+
+
+def render_timeline(events: Iterable[tuple], start: int, end: int,
+                    max_rows: int = 60) -> str:
+    """Draw the uops alive in cycles ``[start, end]`` as a text timeline.
+
+    Lane glyphs: ``f`` fetch->allocate (frontend), ``a`` allocate, ``=``
+    in the backend, ``d`` done, ``R`` retire, ``x`` squashed. The margin
+    marks wrong-path rows ``w``, APF-restored rows ``+`` and mispredicted
+    branches ``!``. The header counts the recoveries (mispredicted
+    resolutions) and APF restores in the whole stream. At most
+    ``max_rows`` uops are drawn, lowest seq first.
+    """
+    if end <= start:
+        raise ValueError("end must exceed start")
+    events = list(events)
+    recoveries = sum(1 for e in events if e[0] == EV_RESOLVE and e[3])
+    restores = sum(1 for e in events if e[0] == EV_RESTORE)
+    lines = [f"cycles {start}..{end} ({recoveries} recoveries, "
+             f"{restores} APF restores in run)"]
+    lives = replay_timelines(events)
+    for life in sorted(lives.values(), key=lambda l: l.seq):
+        if life.fetch_cycle > end or life.final_cycle < start:
+            continue
+        if len(lines) > max_rows:
+            break
+        flags = "".join((
+            "w" if life.wrong_path else " ",
+            "+" if life.restored else " ",
+            "!" if life.mispredict else " ",
+        ))
+        lane = "".join(_timeline_glyph(life, cycle)
+                       for cycle in range(start, end + 1))
+        lines.append(f"#{life.seq:<7d}{life.op:<6s}"
+                     f"{life.pc & 0xFFFF:04x} {flags} |{lane}|")
+    return "\n".join(lines)
 
 
 def write_chrome_trace(path, events: Iterable[tuple],

@@ -52,7 +52,15 @@ _SCHEMES = {"banked": FetchScheme.BANKED,
 
 
 class RequestError(ValueError):
-    """A submitted request document is malformed (HTTP 400)."""
+    """A submitted request document is malformed (HTTP 400).
+
+    ``field`` names the APF spec field a count rule refused (``depth``,
+    ``buffers``), so the CLI can report it against its flag.
+    """
+
+    def __init__(self, message: str, field: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 def _type_check(doc: dict, field: str, types, default=None, required=False):
@@ -72,9 +80,19 @@ def _type_check(doc: dict, field: str, types, default=None, required=False):
     return value
 
 
+def _apf_count(apf: dict, field: str, default: int, minimum: int) -> int:
+    value = apf.pop(field, default)
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise RequestError(f"apf {field!r} must be an int >= {minimum}, "
+                           f"got {value!r}", field=field)
+    return value
+
+
 def config_from_spec(spec: Optional[dict]) -> CoreConfig:
     """Build a :class:`CoreConfig` from a JSON config spec (see module
-    docstring); raises :class:`RequestError` on unknown fields."""
+    docstring); raises :class:`RequestError` on an unknown field or a
+    bad value (``depth`` must be an int >= 1, ``buffers`` an int >= 0)."""
     spec = dict(spec or {})
     scale = spec.pop("scale", "small")
     predictor = spec.pop("predictor", "tage")
@@ -97,8 +115,8 @@ def config_from_spec(spec: Optional[dict]) -> CoreConfig:
                            f"got {apf!r}")
     apf = dict(apf)
     mode = apf.pop("mode", "apf")
-    depth = apf.pop("depth", 13)
-    buffers = apf.pop("buffers", 4)
+    depth = _apf_count(apf, "depth", 13, minimum=1)
+    buffers = _apf_count(apf, "buffers", 4, minimum=0)
     scheme = apf.pop("scheme", "banked")
     tage_banks = apf.pop("tage_banks", 4)
     confidence = apf.pop("confidence", True)
@@ -114,7 +132,7 @@ def config_from_spec(spec: Optional[dict]) -> CoreConfig:
     overrides = dict(
         pipeline_depth=depth,
         num_buffers=buffers,
-        buffer_capacity_uops=8 * max(1, depth),
+        buffer_capacity_uops=8 * depth,
         fetch_scheme=_SCHEMES[scheme],
         tage_banks=tage_banks,
         use_tage_confidence=bool(confidence),

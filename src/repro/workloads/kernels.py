@@ -59,10 +59,6 @@ class KernelBuilder:
         b.movi(R_INF, _INF)
         b.movi(R_THREE, 3)
 
-    def alloc_nodes(self, name: str, init_value: int = 0) -> int:
-        return self.b.alloc_array(
-            name, self.graph.num_nodes, init=lambda _i: init_value)
-
     # indexed access: 3 uops each, matching a scaled-index addressing mode
     def load_idx(self, dst: int, base: int, idx: int) -> None:
         b = self.b

@@ -81,15 +81,6 @@ class Program:
             return None
         return self._uops[index]
 
-    def index_of(self, pc: int) -> int:
-        """Index of the uop at ``pc``, or -1 if outside the image or
-        misaligned (the arithmetic twin of :meth:`uop_at`)."""
-        offset = pc - self.code_base
-        if offset < 0 or offset % UOP_BYTES:
-            return -1
-        index = offset // UOP_BYTES
-        return index if index < len(self._uops) else -1
-
     def nonbranch_runs(self) -> List[int]:
         """``run[i]`` = number of consecutive uops starting at index ``i``
         that are neither branches nor HALT — the uops a fetch engine can

@@ -67,9 +67,6 @@ class DynamicTrace:
             return 0.0
         return self.count_taken_branches() / len(self.uops)
 
-    def count_memory_ops(self) -> int:
-        return sum(1 for u in self.uops if u.is_mem)
-
     def code_footprint(self) -> int:
         """Number of distinct static PCs touched (uops)."""
         return len({u.pc for u in self.uops})

@@ -320,6 +320,16 @@ class TestShadowRAS:
         assert shadow.pop() == 2
         assert shadow.pop() is None   # 1 was dropped; main empty
 
+    def test_zero_entry_overlay_drops_every_push(self):
+        main = ReturnAddressStack(8)
+        main.push(0xAAA)
+        shadow = ShadowRAS(main, entries=0)
+        shadow.push(0xBBB)
+        shadow.push(0xCCC)
+        assert shadow.state() == ((), 0)
+        assert shadow.pop() == 0xAAA   # straight through to main
+        assert shadow.pop() is None
+
 
 class TestH2PTable:
     def make(self, **overrides):

@@ -90,6 +90,12 @@ class TestParser:
         (["bench", "fig02_mpki", "--timeout", "-1"], "--timeout"),
         (["serve", "--timeout", "0"], "--timeout"),
         (["bench", "fig02_mpki", "--timeout", "soon"], "--timeout"),
+        (["run", "--apf", "--depth", "-5", "--warmup", "500",
+          "--measure", "1000"], "--depth"),
+        (["run", "--apf", "--depth", "0"], "--depth"),
+        (["compare", "--buffers", "-1"], "--buffers"),
+        (["trace", "leela", "--dpip", "--depth", "0"], "--depth"),
+        (["submit", "--buffers", "-2"], "--buffers"),
     ])
     def test_malformed_windows_and_specs_exit_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:

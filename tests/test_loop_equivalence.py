@@ -7,15 +7,24 @@ counters those windows would have produced. These tests pin the
 non-negotiable invariant from the optimization: cycles, retired count,
 and the *entire* statistics snapshot are equal between the two loops —
 straight runs, warmed-up runs, and runs split by a
-quiesce/snapshot/restore boundary.
+quiesce/snapshot/restore boundary — on the standard configurations and
+on a seeded fuzz of the valid configuration space (the
+``test_fuzzed_*`` tests).
 """
 
-import pytest
+import dataclasses
 
-from repro.common.config import small_core_config
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.common.config import (AlternatePathMode, FetchScheme,
+                                 small_core_config)
 from repro.core.ooo_core import OoOCore
 from repro.obs import ObsSink
-from repro.obs.accounting import CPI_PREFIX, stack_from_counters
+from repro.obs.accounting import (CPI_PREFIX, stack_from_counters,
+                                  stack_from_result)
+from repro.sampling import SamplingPlan, SamplingSimulator
 from repro.workloads.profiles import build_workload, workload_trace
 
 WORKLOADS = ["leela", "mcf", "tc"]
@@ -234,27 +243,6 @@ class TestBlockFastPath:
                 == fast.stats.counters["apf_restores"])
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("config_key", ["base", "apf"])
-class TestSkipWindowDebugMode:
-    """`REPRO_DEBUG_SKIPS=1` re-derives every next_wakeup contract over
-    each skipped window; a full run under the mode is a regression test
-    that no stage under-reports its wakeup."""
-
-    def test_debug_mode_passes_and_stays_identical(self, workload,
-                                                   config_key,
-                                                   monkeypatch):
-        monkeypatch.setenv("REPRO_DEBUG_SKIPS", "1")
-        checked = make_core(workload, config_key)
-        assert checked._debug_skips
-        checked.run(TOTAL)
-        monkeypatch.setenv("REPRO_DEBUG_SKIPS", "0")
-        plain = make_core(workload, config_key)
-        assert not plain._debug_skips
-        plain.run(TOTAL)
-        assert fingerprint(checked) == fingerprint(plain)
-
-
 @pytest.mark.parametrize("workload", ["leela", "tc"])
 @pytest.mark.parametrize("config_key", ["base", "apf"])
 class TestRetireBatching:
@@ -304,24 +292,128 @@ class TestRetireBatching:
             finals[mode] = fingerprint(second)
         assert finals["skip"] == finals["ref"]
 
-    def test_no_out_of_order_retire(self, workload, config_key,
-                                    monkeypatch):
-        """The silent ``inflight.remove`` fallback is now counted; on
-        every normal run the counter stays zero and the debug-mode
-        assertion never fires (branches retire in fetch order)."""
-        monkeypatch.setenv("REPRO_DEBUG_SKIPS", "1")
+    def test_no_out_of_order_retire(self, workload, config_key):
+        """The silent ``inflight.remove`` fallback is counted; on every
+        normal run the counter stays zero (branches retire in fetch
+        order)."""
         core = make_core(workload, config_key)
         core.run(TOTAL)
         assert core._c_retire_out_of_order.value == 0
         assert core.stats.counters.get("retire_out_of_order", 0) == 0
 
 
-def test_skip_window_checker_catches_stale_wakeup():
-    """The debug checker must actually fire on a violated contract: a
-    pending resolution event inside a claimed-idle window is the classic
-    stale-wakeup bug shape."""
-    core = make_core("leela", "base")
-    core.run(500)
-    core.events.insert(0, (core.now + 3, 0, object()))
-    with pytest.raises(AssertionError, match="branch resolution"):
-        core._verify_skip_window(core.now + 1, core.now + 5)
+# --------------------------------------------------------------------------
+# fuzzed driver equivalence over the valid configuration space
+# --------------------------------------------------------------------------
+
+FUZZ_WORKLOADS = ("leela", "mcf", "xz", "bfs")
+FUZZ_TOTAL = 3_000
+
+
+def fuzz_config(width, ftq, rob, scheduler, lq, sq, predictor,
+                baseline_banks, apf=None):
+    """A small-scale core reshaped by the fuzzed fields; ``apf`` holds
+    the alternate-path overrides, or is None for a plain core."""
+    config = dataclasses.replace(small_core_config(),
+                                 predictor_kind=predictor,
+                                 baseline_tage_banks=baseline_banks)
+    config = config.with_frontend(width=width, fetch_queue_entries=ftq)
+    config = config.with_backend(
+        allocate_width=width, issue_width=width, retire_width=width,
+        rob_entries=rob, scheduler_entries=scheduler,
+        load_queue_entries=lq, store_queue_entries=sq)
+    return config if apf is None else config.with_apf(**apf)
+
+
+BANK_COUNTS = st.sampled_from((1, 2, 4, 8))
+FUZZ_CONFIGS = st.builds(
+    fuzz_config,
+    width=st.integers(1, 16),
+    ftq=st.integers(1, 32),
+    rob=st.integers(8, 512),
+    scheduler=st.integers(2, 160),
+    lq=st.integers(1, 64),
+    sq=st.integers(1, 64),
+    predictor=st.sampled_from(("tage", "perceptron", "gshare")),
+    baseline_banks=BANK_COUNTS,
+    apf=st.none() | st.fixed_dictionaries({
+        "mode": st.sampled_from((AlternatePathMode.APF,
+                                 AlternatePathMode.DPIP)),
+        "pipeline_depth": st.integers(1, 17),
+        "num_buffers": st.integers(0, 8),
+        "buffer_capacity_uops": st.integers(1, 200),
+        "shadow_ras_entries": st.integers(0, 8),
+        "fetch_scheme": st.sampled_from((FetchScheme.BANKED,
+                                         FetchScheme.TIME_SHARED,
+                                         FetchScheme.DUAL_PORT)),
+        "tage_banks": BANK_COUNTS,
+    }))
+
+#: pinned every run: a banked APF core with a zero-entry shadow RAS
+#: whose alternate paths make calls, so every shadow push must be dropped
+ZERO_SHADOW_RAS = fuzz_config(
+    12, 19, 23, 120, 48, 46, "perceptron", 1,
+    apf=dict(pipeline_depth=10, num_buffers=3, buffer_capacity_uops=134,
+             shadow_ras_entries=0, fetch_scheme=FetchScheme.BANKED,
+             tage_banks=1))
+
+
+def check_invariants(core, width):
+    """No cycle cap, in-order retire, and CPI leaves summing to
+    ``width * cycles``."""
+    assert not core.cycle_cap_hit
+    assert core.stats.counters.get("retire_out_of_order", 0) == 0
+    stack_from_counters(core.stats.counters, width=width,
+                        cycles=core.now).check()
+
+
+@settings(max_examples=40, derandomize=True, database=None,
+          deadline=None)
+@given(config=FUZZ_CONFIGS, workload=st.sampled_from(FUZZ_WORKLOADS))
+@example(config=ZERO_SHADOW_RAS, workload="xz")
+def test_fuzzed_configs_agree_across_drivers(config, workload):
+    """Both loop drivers agree bit for bit on any valid configuration,
+    and every run keeps the simulator invariants."""
+    program = build_workload(workload)
+    trace = workload_trace(workload, FUZZ_TOTAL)
+    fingerprints = {}
+    for cycle_by_cycle in (True, False):
+        core = OoOCore(config, program, trace, seed=SEED)
+        core.run(FUZZ_TOTAL, cycle_by_cycle=cycle_by_cycle)
+        check_invariants(core, config.backend.allocate_width)
+        fingerprints[cycle_by_cycle] = fingerprint(core)
+    assert fingerprints[False] == fingerprints[True]
+
+
+@settings(max_examples=8, derandomize=True, database=None,
+          deadline=None)
+@given(config=FUZZ_CONFIGS, workload=st.sampled_from(FUZZ_WORKLOADS))
+def test_fuzzed_configs_split_and_sampled(config, workload):
+    """A smaller fuzz: a quiesce/snapshot/restore split agrees across
+    the drivers at the boundary and at the end, and a sampled run keeps
+    the invariants."""
+    program = build_workload(workload)
+    trace = workload_trace(workload, FUZZ_TOTAL)
+    width = config.backend.allocate_width
+    boundaries, finals = {}, {}
+    for cycle_by_cycle in (True, False):
+        first = OoOCore(config, program, trace, seed=SEED)
+        first.run(FUZZ_TOTAL // 2, cycle_by_cycle=cycle_by_cycle)
+        first.quiesce()
+        boundaries[cycle_by_cycle] = first.snapshot()
+        second = OoOCore(config, program, trace, seed=SEED)
+        second.restore(boundaries[cycle_by_cycle])
+        second.run(FUZZ_TOTAL, cycle_by_cycle=cycle_by_cycle)
+        check_invariants(second, width)
+        finals[cycle_by_cycle] = fingerprint(second)
+    assert boundaries[False] == boundaries[True]
+    assert finals[False] == finals[True]
+
+    plan = SamplingPlan(intervals=3, period=1_000, detailed_warmup=100,
+                        measure=400)
+    result = SamplingSimulator(config, seed=SEED).run(
+        workload, plan, program=program, trace=trace)
+    assert result.instructions > 0
+    assert result.counters.get("cycle_cap_hit", 0) == 0
+    assert result.counters.get("retire_out_of_order", 0) == 0
+    stack_from_result(result, config).check()

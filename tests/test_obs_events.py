@@ -23,7 +23,6 @@ from repro.obs import (
     EV_SQUASH,
     EVENT_NAMES,
     EventRecorder,
-    MultiSink,
     ObsSink,
     replay_timelines,
 )
@@ -141,14 +140,6 @@ class TestEventStreamShape:
             assert p50 <= p90
             assert samples > 0
             assert mean >= 0
-
-    def test_multisink_fans_out(self):
-        core = make_core("leela", "base")
-        first, second = EventRecorder(), EventRecorder()
-        core.attach_obs(MultiSink([first, second]))
-        core.run(TOTAL)
-        assert first.emitted > 0
-        assert list(first.events) == list(second.events)
 
     def test_detach_restores_silence(self):
         core = make_core("leela", "base")

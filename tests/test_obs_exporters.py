@@ -1,9 +1,10 @@
 """Exporter contracts: golden files + format validators.
 
-The golden files under ``tests/golden/`` pin the exact bytes both
+The golden files under ``tests/golden/`` pin the exact bytes the
 exporters produce for a tiny deterministic workload (fixed seed, fixed
-window, fixed event stream). Regenerate them — after deliberately
-changing an exporter or the event taxonomy — with::
+window, fixed event stream), and the exact stdout of ``repro trace``'s
+text timeline around an APF restore. Regenerate them — after
+deliberately changing an exporter or the event taxonomy — with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/test_obs_exporters.py -q
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.common.config import small_core_config
 from repro.core.ooo_core import OoOCore
 from repro.obs import (
@@ -74,6 +76,16 @@ class TestGoldenFiles:
         text = o3_pipeview(events)
         validate_o3_trace(text)
         check_golden("tiny_leela.o3pipeview.txt", text)
+
+    def test_text_timeline_matches_golden(self, capsys, tmp_path,
+                                          monkeypatch):
+        """``repro trace --format text`` over the window holding the
+        restore at cycle 801: timeline, header counts and occupancy
+        table, byte for byte."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["trace", "leela", "--instructions", "2000", "--apf",
+                     "--start", "795", "--cycles", "30"]) == 0
+        check_golden("tiny_leela.timeline.txt", capsys.readouterr().out)
 
     def test_write_helpers_round_trip(self, events, tmp_path):
         doc = write_chrome_trace(tmp_path / "t.json", events)

@@ -104,6 +104,12 @@ class TestRequests:
         {"apf": {"depth": 13, "bogus": True}},
         {"apf": {"scheme": "psychic"}},
         {"apf": {"tage_banks": 3}},
+        {"apf": {"depth": 0}},
+        {"apf": {"depth": "x"}},
+        {"apf": {"depth": True}},
+        {"apf": {"depth": 7.0}},
+        {"apf": {"buffers": -1}},
+        {"apf": {"buffers": False}},
     ])
     def test_config_from_spec_rejects_bad_specs(self, spec):
         with pytest.raises(RequestError):
@@ -139,6 +145,12 @@ class TestRequests:
          "configs": [{"name": "a", "config": {}},
                      {"name": "a", "config": {"apf": {}}}]},
         "not an object",
+        {"kind": "run", "workload": "xz",
+         "config": {"apf": {"depth": -5}}},
+        {"kind": "compare", "workloads": ["xz"],
+         "test": {"apf": {"depth": "x"}}},
+        {"kind": "sweep", "workloads": ["xz"],
+         "configs": [{"name": "b", "config": {"apf": {"buffers": -1}}}]},
     ])
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(RequestError):
@@ -420,6 +432,11 @@ class TestDaemon:
         with pytest.raises(ServiceError) as err:
             client.submit({"kind": "destroy"})
         assert err.value.status == 400
+        with pytest.raises(ServiceError) as err:
+            client.submit({"kind": "compare", "workloads": ["xz"],
+                           "test": {"apf": {"depth": "x"}}})
+        assert err.value.status == 400
+        assert "'depth'" in str(err.value)
         with pytest.raises(ServiceError) as err:
             client.status("r9999-nope")
         assert err.value.status == 404
