@@ -82,14 +82,27 @@ def cache_path() -> Path:
     return path
 
 
+def _field_tree(config) -> dict:
+    """``dataclasses.asdict(config)`` by a direct field walk: the config
+    tree's leaves are immutable scalars, so none needs asdict's deep
+    copy."""
+    tree = {}
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        tree[field.name] = (_field_tree(value)
+                            if dataclasses.is_dataclass(value) else value)
+    return tree
+
+
 def config_signature(config) -> str:
     """Stable signature of a (frozen) config dataclass tree.
 
-    Canonical sorted-JSON of ``dataclasses.asdict`` — invariant under
-    field *reordering* and independent of ``repr`` formatting, while any
-    value change (including a newly added field) changes the signature.
+    Canonical sorted-JSON of the tree ``dataclasses.asdict`` gives —
+    invariant under field *reordering* and independent of ``repr``
+    formatting, while any value change (including a newly added field)
+    changes the signature.
     """
-    payload = json.dumps(dataclasses.asdict(config), sort_keys=True,
+    payload = json.dumps(_field_tree(config), sort_keys=True,
                          separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:20]
 

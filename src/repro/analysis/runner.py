@@ -47,6 +47,7 @@ import traceback
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from multiprocessing import connection as _mp_connection
 from pathlib import Path
 from typing import (Deque, Dict, Iterable, Iterator, List, Optional,
@@ -107,8 +108,12 @@ class Job:
     seed: int = 1234
     sampling: Optional[SamplingPlan] = None
 
-    @property
+    @cached_property
     def key(self) -> str:
+        """The job's result key, computed once per instance: a campaign
+        or a service request reads it many times. The cache is the
+        instance, never the config's value, because configs that compare
+        equal (``tage_banks=True`` and ``1``) can sign differently."""
         from repro.analysis import harness
         return harness.result_key(self.workload, self.config,
                                   self.warmup, self.measure, self.seed,

@@ -27,6 +27,8 @@ class ReturnAddressStack:
         self._ckpt: Optional[Tuple[int, ...]] = ()
 
     def push(self, return_pc: int) -> None:
+        if not self.capacity:
+            return      # a zero-entry stack drops every push
         if len(self._stack) >= self.capacity:
             self._stack.pop(0)  # overflow drops the oldest entry
         self._stack.append(return_pc)

@@ -54,8 +54,9 @@ _SCHEMES = {"banked": FetchScheme.BANKED,
 class RequestError(ValueError):
     """A submitted request document is malformed (HTTP 400).
 
-    ``field`` names the APF spec field a count rule refused (``depth``,
-    ``buffers``), so the CLI can report it against its flag.
+    ``field`` names the APF spec field a value rule refused (``depth``,
+    ``buffers``, ``tage_banks``, ``confidence``), so a caller can report
+    it against the input it came from (the CLI: its flag).
     """
 
     def __init__(self, message: str, field: Optional[str] = None) -> None:
@@ -92,7 +93,10 @@ def _apf_count(apf: dict, field: str, default: int, minimum: int) -> int:
 def config_from_spec(spec: Optional[dict]) -> CoreConfig:
     """Build a :class:`CoreConfig` from a JSON config spec (see module
     docstring); raises :class:`RequestError` on an unknown field or a
-    bad value (``depth`` must be an int >= 1, ``buffers`` an int >= 0)."""
+    bad value (``depth`` must be an int >= 1, ``buffers`` an int >= 0,
+    ``tage_banks`` one of the ints 1, 2, 4, 8, ``confidence`` a bool;
+    ``true`` for 1 or ``4.0`` for 4 compare equal but would sign as a
+    second machine)."""
     spec = dict(spec or {})
     scale = spec.pop("scale", "small")
     predictor = spec.pop("predictor", "tage")
@@ -127,15 +131,20 @@ def config_from_spec(spec: Optional[dict]) -> CoreConfig:
         raise RequestError(f"apf mode must be 'apf' or 'dpip', got {mode!r}")
     if scheme not in _SCHEMES:
         raise RequestError(f"unknown fetch scheme {scheme!r}")
-    if tage_banks not in (1, 2, 4, 8):
-        raise RequestError(f"tage_banks must be 1/2/4/8, got {tage_banks!r}")
+    if isinstance(tage_banks, bool) or not isinstance(tage_banks, int) \
+            or tage_banks not in (1, 2, 4, 8):
+        raise RequestError(f"apf 'tage_banks' must be 1/2/4/8, "
+                           f"got {tage_banks!r}", field="tage_banks")
+    if not isinstance(confidence, bool):
+        raise RequestError(f"apf 'confidence' must be true or false, "
+                           f"got {confidence!r}", field="confidence")
     overrides = dict(
         pipeline_depth=depth,
         num_buffers=buffers,
         buffer_capacity_uops=8 * depth,
         fetch_scheme=_SCHEMES[scheme],
         tage_banks=tage_banks,
-        use_tage_confidence=bool(confidence),
+        use_tage_confidence=confidence,
     )
     if mode == "dpip":
         overrides.update(mode=AlternatePathMode.DPIP, num_buffers=0)

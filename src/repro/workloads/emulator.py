@@ -3,10 +3,10 @@
 Executes a :class:`~repro.workloads.program.Program` to produce the
 correct-path :class:`~repro.workloads.trace.DynamicTrace`. All values are
 64-bit unsigned; comparisons are unsigned. Memory is word-addressed (8-byte
-words): reads go to the words this run stored, then to the program's data
-image (read through, never copied), and uninitialised words read as a
-deterministic hash of their address so wrong-path-reachable data is also
-reproducible.
+words): reads go to the words this run stored, then to the program's dense
+data image (read through, one word at a time, never copied), and words the
+image does not define read as a deterministic hash of their address so
+wrong-path-reachable data is also reproducible.
 """
 
 from __future__ import annotations
@@ -35,12 +35,19 @@ def _default_memory_value(addr: int) -> int:
 
 
 class Emulator:
-    """Architectural interpreter producing the dynamic trace."""
+    """Architectural interpreter producing the dynamic trace.
+
+    Stores go to a dict of the words this run wrote; the program's data
+    image is only read, through memoryviews of its arrays, so a load
+    costs one index into them and no per-word copy of the image exists.
+    """
 
     def __init__(self, program: Program) -> None:
         self.program = program
         self.regs: List[int] = [0] * NUM_ARCH_REGS
-        self._image = program.initial_data
+        self._data_base = program.data_base
+        self._words = memoryview(program.data_words)
+        self._present = memoryview(program.data_present)
         #: words stored during this run, shadowing the image
         self.memory: Dict[int, int] = {}
         self.call_stack: List[int] = []
@@ -54,8 +61,10 @@ class Emulator:
         aligned = addr & ~(_WORD - 1)
         value = self.memory.get(aligned)
         if value is None:
-            value = self._image.get(aligned)
-            if value is None:
+            index = (aligned - self._data_base) // _WORD
+            if 0 <= index < len(self._present) and self._present[index]:
+                value = self._words[index]
+            else:
                 value = _default_memory_value(aligned)
         return value
 

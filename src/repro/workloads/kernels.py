@@ -42,11 +42,11 @@ class KernelBuilder:
         self.graph = graph
         n, m = graph.num_nodes, graph.num_edges
         self.row_base = self.b.alloc_array(
-            "row_ptr", n + 1, values=list(graph.row_ptr))
+            "row_ptr", n + 1, values=graph.row_ptr)
         self.col_base = self.b.alloc_array(
-            "col", max(1, m), values=list(graph.col) or [0])
+            "col", max(1, m), values=graph.col or [0])
         self.wt_base = self.b.alloc_array(
-            "wt", max(1, m), values=list(graph.weight) or [0])
+            "wt", max(1, m), values=graph.weight or [0])
 
     def prologue(self) -> None:
         b = self.b
@@ -98,8 +98,8 @@ def build_bfs(graph: CSRGraph, seed: int = 0) -> Program:
     del seed
     k = KernelBuilder("bfs", graph)
     b = k.b
-    visited = b.alloc_array("visited", graph.num_nodes, init=lambda _i: 0)
-    queue = b.alloc_array("queue", graph.num_nodes + 1, init=lambda _i: 0)
+    visited = b.alloc_array("visited", graph.num_nodes, values=0)
+    queue = b.alloc_array("queue", graph.num_nodes + 1, values=0)
     # registers
     r_vis, r_queue = 6, 7
     r_head, r_tail = 8, 9
@@ -162,7 +162,7 @@ def build_sssp(graph: CSRGraph, seed: int = 0, num_rounds: int = 6) -> Program:
     del seed
     k = KernelBuilder("sssp", graph)
     b = k.b
-    dist = b.alloc_array("dist", graph.num_nodes, init=lambda _i: _INF)
+    dist = b.alloc_array("dist", graph.num_nodes, values=_INF)
     r_dist = 6
     r_round, r_u, r_i, r_iend = 7, 8, 9, 10
     r_du, r_v, r_w, r_nd, r_dv = 11, 12, 13, 14, 15
@@ -222,8 +222,8 @@ def build_pagerank(graph: CSRGraph, seed: int = 0) -> Program:
     del seed
     k = KernelBuilder("pr", graph)
     b = k.b
-    rank = b.alloc_array("rank", graph.num_nodes, init=lambda _i: 1 << 20)
-    nxt = b.alloc_array("rank_next", graph.num_nodes, init=lambda _i: 0)
+    rank = b.alloc_array("rank", graph.num_nodes, values=1 << 20)
+    nxt = b.alloc_array("rank_next", graph.num_nodes, values=0)
     deg = b.alloc_array(
         "deg", graph.num_nodes,
         values=[max(1, graph.degree(i)) for i in range(graph.num_nodes)])
@@ -283,7 +283,8 @@ def build_cc(graph: CSRGraph, seed: int = 0) -> Program:
     del seed
     k = KernelBuilder("cc", graph)
     b = k.b
-    label_arr = b.alloc_array("labels", graph.num_nodes, init=lambda i: i)
+    label_arr = b.alloc_array("labels", graph.num_nodes,
+                              values=range(graph.num_nodes))
     r_lab = 6
     r_u, r_i, r_iend, r_v = 7, 8, 9, 10
     r_lu, r_lv, r_tmp, r_cond = 11, 12, 13, 14
@@ -340,10 +341,10 @@ def build_bc(graph: CSRGraph, seed: int = 0) -> Program:
     del seed
     k = KernelBuilder("bc", graph)
     b = k.b
-    dist = b.alloc_array("dist", graph.num_nodes, init=lambda _i: _INF)
-    sigma = b.alloc_array("sigma", graph.num_nodes, init=lambda _i: 0)
-    queue = b.alloc_array("queue", graph.num_nodes + 1, init=lambda _i: 0)
-    delta = b.alloc_array("delta", graph.num_nodes, init=lambda _i: 0)
+    dist = b.alloc_array("dist", graph.num_nodes, values=_INF)
+    sigma = b.alloc_array("sigma", graph.num_nodes, values=0)
+    queue = b.alloc_array("queue", graph.num_nodes + 1, values=0)
+    delta = b.alloc_array("delta", graph.num_nodes, values=0)
     r_dist, r_sig, r_queue, r_delta = 6, 7, 8, 9
     r_head, r_tail, r_u, r_i, r_iend, r_v = 10, 11, 12, 13, 14, 15
     r_du, r_dv, r_tmp, r_cond, r_src, r_one = 16, 17, 18, 19, 20, 21

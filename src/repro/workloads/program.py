@@ -1,7 +1,8 @@
 """Static program image and an assembler-style builder.
 
 A :class:`Program` is the static code image (PC -> uop) plus an initial data
-image. The timing frontend fetches from the image on both the predicted and
+image, held dense: one uint64 per 8-byte word and a presence flag per word.
+The timing frontend fetches from the image on both the predicted and
 the alternate/wrong path, which is what makes wrong-path and alternate-path
 fetch faithful: the bytes that would sit in the I-cache really exist.
 
@@ -12,7 +13,9 @@ listings instead of raw uop lists.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.isa.opcodes import NUM_ARCH_REGS, UOP_BYTES, Op
 from repro.isa.uop import StaticUop
@@ -27,26 +30,37 @@ WORD_BYTES = 8
 class Program:
     """Immutable static image: code, initial data, and an entry point.
 
-    ``data`` maps word addresses to initial values. It may instead be a
-    zero-argument callable returning that dict: a program loaded from a
-    trace bundle passes one, so the dict is only built if something
-    reads :attr:`initial_data` (the emulator; the timing core never does).
-    The program owns ``data`` from here on; nothing may mutate it.
+    The data image covers the words from ``data_base`` to ``data_end``
+    densely: ``data_words[i]`` is the initial value of the word at
+    ``data_base + 8 * i``, and ``data_present[i]`` says whether the image
+    defines that word at all (the emulator reads an absent word as a
+    hash of its address). Both are read-only numpy arrays (uint64 and
+    bool) that the program owns from here on; a program loaded from a
+    trace bundle holds the bundle's own word array. The timing core never
+    reads the data image, only its bounds.
     """
 
     def __init__(self, uops: List[StaticUop], entry_pc: int,
-                 data: Union[Dict[int, int], Callable[[], Dict[int, int]]],
+                 data_words: np.ndarray, data_present: np.ndarray,
                  name: str = "program",
                  data_base: int = DATA_BASE,
-                 data_end: int = DATA_BASE,
                  arrays: Optional[Dict[str, int]] = None) -> None:
         self.name = name
         self.entry_pc = entry_pc
         self.code_base = uops[0].pc if uops else CODE_BASE
         self._uops = uops
-        self._data = data
+        words = np.asarray(data_words, dtype=np.uint64)
+        present = np.asarray(data_present, dtype=bool)
+        if words.ndim != 1 or not len(words) \
+                or present.shape != words.shape:
+            raise ValueError(f"{name}: the data image needs at least one "
+                             f"word and one presence flag per word")
+        words.flags.writeable = False
+        present.flags.writeable = False
+        self.data_words = words
+        self.data_present = present
         self.data_base = data_base
-        self.data_end = max(data_end, data_base + 8)
+        self.data_end = data_base + len(words) * WORD_BYTES
         self.arrays: Dict[str, int] = dict(arrays or {})
         self._nonbranch_runs: Optional[List[int]] = None
         for index, uop in enumerate(uops):
@@ -58,14 +72,6 @@ class Program:
 
     def __len__(self) -> int:
         return len(self._uops)
-
-    @property
-    def initial_data(self) -> Dict[int, int]:
-        """Initial data image: word address -> value."""
-        data = self._data
-        if callable(data):
-            data = self._data = data()
-        return data
 
     @property
     def code_bytes(self) -> int:
@@ -117,7 +123,8 @@ class ProgramBuilder:
         self._uops: List[StaticUop] = []
         self._labels: Dict[str, int] = {}
         self._fixups: List[tuple] = []       # (uop_index, label)
-        self._data: Dict[int, int] = {}      # byte address -> word value
+        #: (first word index, words) of each initialised array
+        self._data: List[Tuple[int, np.ndarray]] = []
         self._data_cursor = data_base
         self._arrays: Dict[str, int] = {}
         self._label_counter = 0
@@ -196,21 +203,30 @@ class ProgramBuilder:
     # -- data segment ------------------------------------------------------
 
     def alloc_array(self, name: str, num_words: int,
-                    init: Optional[Callable[[int], int]] = None,
-                    values: Optional[Sequence[int]] = None) -> int:
-        """Reserve ``num_words`` 8-byte words; return the base byte address."""
+                    values: Union[int, Sequence[int], np.ndarray,
+                                  None] = None) -> int:
+        """Reserve ``num_words`` 8-byte words; return the base byte address.
+
+        ``values`` initialises them: ``num_words`` words (a sequence or an
+        integer array), or one int for every word. Each must fit in 64
+        unsigned bits. Without ``values`` the words stay absent from the
+        data image.
+        """
         if name in self._arrays:
             raise ValueError(f"array {name!r} allocated twice")
         base = self._data_cursor
         self._data_cursor += num_words * WORD_BYTES
         if values is not None:
-            if len(values) != num_words:
+            try:
+                words = np.asarray(values, dtype=np.uint64)
+            except OverflowError as exc:
+                raise ValueError(f"array {name!r}: a value does not fit in "
+                                 f"64 unsigned bits") from exc
+            if words.ndim == 0:
+                words = np.full(num_words, words, dtype=np.uint64)
+            elif words.shape != (num_words,):
                 raise ValueError("values length mismatch")
-            for i, value in enumerate(values):
-                self._data[base + i * WORD_BYTES] = value
-        elif init is not None:
-            for i in range(num_words):
-                self._data[base + i * WORD_BYTES] = init(i)
+            self._data.append(((base - self.data_base) // WORD_BYTES, words))
         self._arrays[name] = base
         return base
 
@@ -220,13 +236,19 @@ class ProgramBuilder:
     # -- finalisation --------------------------------------------------------
 
     def finalize(self, entry_label: str = "") -> Program:
-        """Resolve fixups and freeze the image. The program takes over
-        the builder's data dict (no copy): emit nothing after this."""
+        """Resolve fixups and freeze the image: the data image becomes one
+        dense word array (at least one word long) with a presence flag
+        per word."""
         for index, label in self._fixups:
             if label not in self._labels:
                 raise ValueError(f"undefined label {label!r}")
             self._uops[index].target = self._labels[label]
         entry = self._labels.get(entry_label, self.code_base)
-        return Program(self._uops, entry, self._data, name=self.name,
-                       data_base=self.data_base, data_end=self._data_cursor,
-                       arrays=self._arrays)
+        num_words = max(1, (self._data_cursor - self.data_base) // WORD_BYTES)
+        words = np.zeros(num_words, dtype=np.uint64)
+        present = np.zeros(num_words, dtype=bool)
+        for first, values in self._data:
+            words[first:first + len(values)] = values
+            present[first:first + len(values)] = True
+        return Program(self._uops, entry, words, present, name=self.name,
+                       data_base=self.data_base, arrays=self._arrays)

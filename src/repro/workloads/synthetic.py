@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+import numpy as np
+
 from repro.common.rng import DeterministicRng
 from repro.isa.opcodes import Op
 from repro.workloads.program import Program, ProgramBuilder
@@ -265,9 +267,11 @@ def build_synthetic_program(profile: WorkloadProfile) -> Program:
     b = ProgramBuilder(name=profile.name)
 
     b.alloc_array("random_data", profile.random_data_words,
-                  init=lambda i: _scramble(profile.seed, i))
+                  values=_scramble_words(profile.seed,
+                                         profile.random_data_words))
     b.alloc_array("working_set", profile.working_set_words,
-                  init=lambda i: _scramble(profile.seed ^ 0xABCD, i))
+                  values=_scramble_words(profile.seed ^ 0xABCD,
+                                         profile.working_set_words))
 
     entry = b.label("entry")
     for slot, reg in enumerate(R_LCG_STATES):
@@ -298,8 +302,23 @@ def build_synthetic_program(profile: WorkloadProfile) -> Program:
 
 
 def _scramble(seed: int, index: int) -> int:
-    """Deterministic data-image initialiser."""
+    """Deterministic data-image initialiser: word ``index`` of the
+    sequence for ``seed``. :func:`_scramble_words` computes the same
+    words for a whole array at once."""
     z = ((index + 1) * 0x9E3779B97F4A7C15 ^ seed * 0xBF58476D1CE4E5B9)
     z &= _MASK64
     z = ((z ^ (z >> 29)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 32)
+
+
+def _scramble_words(seed: int, num_words: int) -> np.ndarray:
+    """``[_scramble(seed, i) for i in range(num_words)]`` as a uint64
+    array, computed in place: uint64 arithmetic wraps modulo 2**64
+    exactly as the scalar form's ``& _MASK64`` does."""
+    z = np.arange(1, num_words + 1, dtype=np.uint64)
+    z *= 0x9E3779B97F4A7C15
+    z ^= (seed * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 29
+    z *= 0x94D049BB133111EB
+    z ^= z >> 32
+    return z

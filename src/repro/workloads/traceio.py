@@ -18,9 +18,10 @@ code, whoever wrote the file. Its members:
   ``dest``, ``src1``, ``src2``, ``target``, and ``imm`` as its low 64 bits
   plus an ``imm_neg`` sign flag; labels are sparse (``label_index``,
   ``label_text``)
-* the data image, dense: ``data_words`` holds one uint64 per word from
-  data_base to data_end, and ``data_present`` (bits packed by
-  ``numpy.packbits``) marks the words the image defines
+* the data image as :class:`Program` holds it: ``data_words`` holds one
+  uint64 per word from data_base to data_end, and ``data_present``
+  (``Program.data_present`` packed by ``numpy.packbits``) marks the
+  words the image defines
 * the trace columns ``uop_index``, ``taken``, ``next_pc``, ``mem_addr``
 """
 
@@ -84,37 +85,9 @@ def _program_columns(program: Program) -> Dict[str, np.ndarray]:
         "label_index": np.array(labelled, dtype=np.int32),
         "label_text": np.array([uops[i].label for i in labelled],
                                dtype=str),
-        **_data_columns(program),
+        "data_words": program.data_words,
+        "data_present": np.packbits(program.data_present),
     }
-
-
-def _word_count(data_base: int, data_end: int) -> int:
-    return -(-(data_end - data_base) // WORD_BYTES)
-
-
-def _data_columns(program: Program) -> Dict[str, np.ndarray]:
-    data = program.initial_data
-    base = program.data_base
-    nwords = _word_count(base, program.data_end)
-    try:
-        addrs = np.fromiter(data.keys(), dtype=np.int64, count=len(data))
-        values = np.fromiter(data.values(), dtype=np.uint64,
-                             count=len(data))
-    except OverflowError as exc:
-        raise ValueError(f"{program.name}: a data address or value does "
-                         f"not fit in 64 bits: {exc}") from exc
-    offsets = addrs - base
-    if len(offsets) and (offsets.min() < 0
-                         or offsets.max() >= nwords * WORD_BYTES
-                         or (offsets % WORD_BYTES).any()):
-        raise ValueError(f"{program.name}: the data image holds a word "
-                         f"outside [data_base, data_end) or unaligned")
-    index = offsets // WORD_BYTES
-    words = np.zeros(nwords, dtype=np.uint64)
-    words[index] = values
-    present = np.zeros(nwords, dtype=bool)
-    present[index] = True
-    return {"data_words": words, "data_present": np.packbits(present)}
 
 
 def _trace_columns(trace: DynamicTrace,
@@ -208,19 +181,18 @@ def _read(path: Path) -> Dict[str, np.ndarray]:
     # zipfile, zlib and numpy's npy header parser raise many unrelated
     # types here (a damaged header once surfaced as tokenize.TokenError),
     # so the catch is broad; the cause stays chained for the traceback.
+    # The file is opened here, not by np.load, so that it is closed even
+    # when np.load fails on it.
     try:
-        archive = np.load(path, allow_pickle=False)
-    except FileNotFoundError:
+        with open(path, "rb") as handle:
+            archive = np.load(handle, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise TraceBundleError(f"malformed trace bundle {path}: "
+                                       f"not an npz archive")
+            with archive:
+                return {key: archive[key] for key in archive.files}
+    except (FileNotFoundError, TraceBundleError):
         raise
-    except Exception as exc:
-        raise TraceBundleError(
-            f"unreadable or truncated trace bundle {path}: {exc}") from exc
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise TraceBundleError(f"malformed trace bundle {path}: "
-                               f"not an npz archive")
-    try:
-        with archive:
-            return {key: archive[key] for key in archive.files}
     except Exception as exc:
         raise TraceBundleError(
             f"unreadable or truncated trace bundle {path}: {exc}") from exc
@@ -255,19 +227,21 @@ def _decode_program(cols: _Columns) -> Program:
         pcs, [ops[code] for code in op], dest, src1, src2, imm, target,
         labels)]
 
-    nwords = _word_count(data_base, data_end)
+    nwords, partial = divmod(data_end - data_base, WORD_BYTES)
+    if nwords < 1 or partial:
+        raise cols.malformed("its data image is not a whole number of "
+                             "words")
     words = cols.get("data_words", "u", length=nwords)
     present = cols.get("data_present", "u", length=-(-nwords // 8))
-
-    def data() -> Dict[int, int]:
-        offsets = np.flatnonzero(np.unpackbits(present, count=nwords))
-        return dict(zip((data_base + WORD_BYTES * offsets).tolist(),
-                        words[offsets].tolist()))
+    if words.dtype != np.uint64 or present.dtype != np.uint8:
+        raise cols.malformed(f"its data image is {words.dtype} words with "
+                             f"{present.dtype} presence bits")
 
     names = cols.get("array_names", "U").tolist()
     bases = cols.get("array_bases", "i", length=len(names)).tolist()
-    return Program(uops, entry_pc, data, name=cols.text("name"),
-                   data_base=data_base, data_end=data_end,
+    return Program(uops, entry_pc, words,
+                   np.unpackbits(present, count=nwords).view(bool),
+                   name=cols.text("name"), data_base=data_base,
                    arrays=dict(zip(names, bases)))
 
 

@@ -3,9 +3,12 @@ and the crash-safe result cache (atomic writes, corrupt-entry recovery,
 canonical config signatures)."""
 
 import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
+
+from hypothesis import given, settings
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "benchmarks"))
 
@@ -14,8 +17,10 @@ from repro.analysis import harness  # noqa: E402
 from repro.common.config import (  # noqa: E402
     AlternatePathMode,
     FetchScheme,
+    paper_core_config,
     small_core_config,
 )
+from tests.test_loop_equivalence import FUZZ_CONFIGS  # noqa: E402
 
 
 class TestConfigs:
@@ -123,6 +128,13 @@ class TestCacheIntegrity:
         assert key.startswith(f"v{harness.CACHE_SCHEMA_VERSION}-xz-1-2-3-")
 
 
+def asdict_signature(config):
+    """The signature from ``dataclasses.asdict``: the reference form."""
+    return hashlib.sha256(json.dumps(
+        dataclasses.asdict(config), sort_keys=True,
+        separators=(",", ":")).encode()).hexdigest()[:20]
+
+
 class TestConfigSignature:
     def test_signature_survives_field_reordering(self):
         @dataclasses.dataclass(frozen=True)
@@ -150,10 +162,23 @@ class TestConfigSignature:
 
     def test_signature_ignores_repr_formatting(self):
         cfg = small_core_config()
-        expected = __import__("hashlib").sha256(json.dumps(
-            dataclasses.asdict(cfg), sort_keys=True,
-            separators=(",", ":")).encode()).hexdigest()[:20]
-        assert harness.config_signature(cfg) == expected
+        assert harness.config_signature(cfg) == asdict_signature(cfg)
+
+    def test_signature_is_the_asdict_form(self):
+        """The small and paper base, APF and DPIP configs all sign as
+        their ``asdict`` form."""
+        for scale in (small_core_config(), paper_core_config()):
+            for cfg in (scale, scale.with_apf(),
+                        scale.with_apf(mode=AlternatePathMode.DPIP,
+                                       num_buffers=0)):
+                assert harness.config_signature(cfg) \
+                    == asdict_signature(cfg), cfg
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(config=FUZZ_CONFIGS)
+    def test_fuzzed_signatures_are_the_asdict_form(self, config):
+        assert harness.config_signature(config) == asdict_signature(config)
 
 
 class TestDepthSweepHelpers:

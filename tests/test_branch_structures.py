@@ -259,6 +259,14 @@ class TestRAS:
         assert ras.pop() == 2
         assert ras.pop() is None
 
+    def test_zero_entry_stack_drops_every_push(self):
+        ras = ReturnAddressStack(0)
+        ras.push(0x100)
+        ras.push(0x200)
+        assert len(ras) == 0
+        assert ras.checkpoint() == ()
+        assert ras.pop() is None
+
     def test_checkpoint_restore(self):
         ras = ReturnAddressStack(8)
         ras.push(1)

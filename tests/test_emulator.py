@@ -3,7 +3,8 @@
 import pytest
 
 from repro.isa.opcodes import Op
-from repro.workloads.emulator import EmulationError, Emulator
+from repro.workloads.emulator import (EmulationError, Emulator,
+                                     _default_memory_value)
 from repro.workloads.program import ProgramBuilder
 
 _MASK64 = (1 << 64) - 1
@@ -114,6 +115,22 @@ class TestMemory:
         emu, _ = run_program(build)
         assert emu.regs[2] == 111
         assert emu.regs[3] == 222
+
+    def test_absent_words_read_as_their_address_hash(self):
+        """Words the image leaves absent, inside it or just outside it,
+        read as the address hash; defined words read their value."""
+        def build(b):
+            gap = b.alloc_array("gap", 2)
+            one = b.alloc_array("one", 1, values=[7])
+            b.movi(1, gap)
+            for reg, offset in enumerate((-8, 0, 8, 16, 24), start=2):
+                b.load(reg, 1, offset=offset)
+            b.halt()
+        emu, trace = run_program(build)
+        addrs = [a for u, a in zip(trace.uops, trace.mem_addr) if u.is_mem]
+        expected = [_default_memory_value(a) for a in addrs]
+        expected[3] = 7
+        assert emu.regs[2:7] == expected
 
     def test_uninitialised_memory_is_deterministic(self):
         def build(b):

@@ -1,10 +1,19 @@
 """Tests for the uop ISA and the program builder."""
 
+import numpy as np
 import pytest
 
 from repro.isa.opcodes import BranchKind, Op, branch_kind
 from repro.isa.uop import StaticUop
 from repro.workloads.program import CODE_BASE, Program, ProgramBuilder
+
+
+def initial_words(program, base, count):
+    """The initial values of ``count`` words from byte address ``base``,
+    None where the data image defines none."""
+    first = (base - program.data_base) // 8
+    return [int(program.data_words[i]) if program.data_present[i] else None
+            for i in range(first, first + count)]
 
 
 class TestBranchKind:
@@ -86,17 +95,31 @@ class TestProgramBuilder:
         base = b.alloc_array("arr", 4, values=[10, 20, 30, 40])
         b.halt()
         program = b.finalize()
-        assert program.initial_data[base] == 10
-        assert program.initial_data[base + 24] == 40
+        assert initial_words(program, base, 4) == [10, 20, 30, 40]
         assert program.data_end >= base + 32
 
-    def test_alloc_array_init_fn(self):
+    def test_alloc_array_fill_value_and_absent_words(self):
         b = ProgramBuilder()
-        base = b.alloc_array("sq", 3, init=lambda i: i * i)
+        gap = b.alloc_array("gap", 2)
+        ones = b.alloc_array("ones", 3, values=7)
+        program = b.finalize()
+        assert initial_words(program, gap, 2) == [None, None]
+        assert initial_words(program, ones, 3) == [7, 7, 7]
+        assert program.data_end == ones + 24
+        assert program.data_words.dtype == np.uint64
+        assert not program.data_words.flags.writeable
+
+    def test_alloc_array_refuses_values_it_cannot_hold(self):
+        for values in ([-1], [1 << 64], [1, 2]):
+            with pytest.raises(ValueError):
+                ProgramBuilder().alloc_array("bad", 1, values=values)
+
+    def test_empty_data_image_is_one_absent_word(self):
+        b = ProgramBuilder()
         b.halt()
         program = b.finalize()
-        assert [program.initial_data[base + 8 * i] for i in range(3)] \
-            == [0, 1, 4]
+        assert program.data_end == program.data_base + 8
+        assert program.data_present.tolist() == [False]
 
     def test_alloc_duplicate_name_raises(self):
         b = ProgramBuilder()
@@ -126,7 +149,7 @@ class TestProgram:
         good = StaticUop(CODE_BASE, Op.NOP)
         bad = StaticUop(CODE_BASE + 8, Op.NOP)
         with pytest.raises(ValueError):
-            Program([good, bad], CODE_BASE, {})
+            Program([good, bad], CODE_BASE, [0], [False])
 
     def test_code_bytes(self):
         b = ProgramBuilder()

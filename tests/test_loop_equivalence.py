@@ -357,6 +357,11 @@ ZERO_SHADOW_RAS = fuzz_config(
              shadow_ras_entries=0, fetch_scheme=FetchScheme.BANKED,
              tage_banks=1))
 
+#: pinned every run: an APF core with no return address stack, so every
+#: call's push, on either path, must be dropped
+ZERO_RAS = dataclasses.replace(small_core_config().with_apf(),
+                               ras_entries=0)
+
 
 def check_invariants(core, width):
     """No cycle cap, in-order retire, and CPI leaves summing to
@@ -371,6 +376,7 @@ def check_invariants(core, width):
           deadline=None)
 @given(config=FUZZ_CONFIGS, workload=st.sampled_from(FUZZ_WORKLOADS))
 @example(config=ZERO_SHADOW_RAS, workload="xz")
+@example(config=ZERO_RAS, workload="leela")
 def test_fuzzed_configs_agree_across_drivers(config, workload):
     """Both loop drivers agree bit for bit on any valid configuration,
     and every run keeps the simulator invariants."""

@@ -217,6 +217,21 @@ class TestScheduling:
         job = make_job("xz", small_core_config())
         assert (job.warmup, job.measure) == harness.bench_windows()
 
+    def test_job_key_is_signed_once_per_job(self, monkeypatch):
+        signed = []
+        sign = harness.config_signature
+        monkeypatch.setattr(harness, "config_signature",
+                            lambda config: signed.append(config)
+                            or sign(config))
+        one = make_job("xz", small_core_config().with_apf(tage_banks=1),
+                       100, 100)
+        assert len({one.key for _ in range(5)}) == 1
+        assert len(signed) == 1
+        # equal jobs whose configs sign differently keep their own keys
+        true = make_job("xz", small_core_config().with_apf(tage_banks=True),
+                        100, 100)
+        assert true == one and true.key != one.key
+
     def test_resolve_jobs_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
         assert resolve_jobs() == 1

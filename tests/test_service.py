@@ -110,10 +110,21 @@ class TestRequests:
         {"apf": {"depth": 7.0}},
         {"apf": {"buffers": -1}},
         {"apf": {"buffers": False}},
+        {"apf": {"tage_banks": True}},
+        {"apf": {"tage_banks": 4.0}},
+        {"apf": {"tage_banks": "4"}},
+        {"apf": {"confidence": "no"}},
+        {"apf": {"confidence": 1}},
+        {"apf": {"confidence": None}},
     ])
     def test_config_from_spec_rejects_bad_specs(self, spec):
-        with pytest.raises(RequestError):
+        with pytest.raises(RequestError) as err:
             config_from_spec(spec)
+        apf = spec.get("apf", {})
+        if len(apf) == 1 and set(apf) <= {"depth", "buffers", "tage_banks",
+                                          "confidence"}:
+            # a refused value names its field
+            assert err.value.field in apf
 
     def test_parse_compare_fills_defaults(self):
         request = parse_request(compare_doc(["xz"]))
@@ -151,6 +162,12 @@ class TestRequests:
          "test": {"apf": {"depth": "x"}}},
         {"kind": "sweep", "workloads": ["xz"],
          "configs": [{"name": "b", "config": {"apf": {"buffers": -1}}}]},
+        {"kind": "run", "workload": "xz",
+         "config": {"apf": {"tage_banks": True}}},
+        {"kind": "compare", "workloads": ["xz"],
+         "test": {"apf": {"tage_banks": 4.0}}},
+        {"kind": "compare", "workloads": ["xz"],
+         "test": {"apf": {"confidence": "no"}}},
     ])
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(RequestError):
@@ -437,6 +454,11 @@ class TestDaemon:
                            "test": {"apf": {"depth": "x"}}})
         assert err.value.status == 400
         assert "'depth'" in str(err.value)
+        with pytest.raises(ServiceError) as err:
+            client.submit({"kind": "run", "workload": "xz",
+                           "config": {"apf": {"tage_banks": True}}})
+        assert err.value.status == 400
+        assert "'tage_banks'" in str(err.value)
         with pytest.raises(ServiceError) as err:
             client.status("r9999-nope")
         assert err.value.status == 404

@@ -1,5 +1,8 @@
 """Tests for the synthetic workload generator and benchmark profiles."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.isa.opcodes import BranchKind, Op
@@ -10,9 +13,15 @@ from repro.workloads.profiles import (
     SPEC_NAMES,
     SPEC_PROFILES,
     build_workload,
+    clear_trace_cache,
     workload_trace,
 )
-from repro.workloads.synthetic import WorkloadProfile, build_synthetic_program
+from repro.workloads.synthetic import (
+    WorkloadProfile,
+    _scramble,
+    _scramble_words,
+    build_synthetic_program,
+)
 
 
 class TestGenerator:
@@ -21,7 +30,8 @@ class TestGenerator:
         a = build_synthetic_program(profile)
         b = build_synthetic_program(profile)
         assert [u.op for u in a.uops()] == [u.op for u in b.uops()]
-        assert a.initial_data == b.initial_data
+        assert np.array_equal(a.data_words, b.data_words)
+        assert np.array_equal(a.data_present, b.data_present)
 
     def test_different_seeds_differ(self):
         a = build_synthetic_program(WorkloadProfile(name="a", seed=1))
@@ -112,6 +122,39 @@ class TestProfiles:
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
             build_workload("spec_rate_fp")
+
+    def test_data_image_matches_scalar_scramble(self):
+        """For every profile, the vectorised initialiser gives the scalar
+        ``_scramble`` reference word for word, and the built image holds
+        those words."""
+        for name in SPEC_NAMES:
+            profile = SPEC_PROFILES[name]
+            program = build_workload(name)
+            for array, seed, count in (
+                    ("random_data", profile.seed, profile.random_data_words),
+                    ("working_set", profile.seed ^ 0xABCD,
+                     profile.working_set_words)):
+                expected = [_scramble(seed, i) for i in range(count)]
+                assert _scramble_words(seed, count).tolist() == expected, \
+                    (name, array)
+                first = (program.arrays[array] - program.data_base) // 8
+                image = slice(first, first + count)
+                assert program.data_words[image].tolist() == expected, \
+                    (name, array)
+                assert program.data_present[image].all(), (name, array)
+
+    def test_mcf_build_makes_no_object_per_data_word(self):
+        """mcf's 196,608-word data image is built as arrays: the build's
+        allocation peak stays far below the ~26 MB that a dict entry and
+        a Python int per word take."""
+        clear_trace_cache()
+        tracemalloc.start()
+        try:
+            build_workload("mcf")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_trace_cache_returns_same_object(self):
         a = workload_trace("xz", 5_000)

@@ -6,9 +6,10 @@ import pytest
 from repro.common.config import small_core_config
 from repro.core.ooo_core import OoOCore
 from repro.core.simulator import Simulator
-from repro.workloads import traceio
+from repro.workloads import kernels, synthetic, traceio
 from repro.workloads.emulator import Emulator
-from repro.workloads.profiles import build_workload, workload_trace
+from repro.workloads.profiles import (ALL_NAMES, build_workload,
+                                      clear_trace_cache, workload_trace)
 from repro.workloads.program import ProgramBuilder
 from repro.workloads.traceio import (
     TRACE_FORMAT_VERSION,
@@ -32,6 +33,69 @@ def rewrite_members(path, **changes):
         np.savez(handle, **arrays)
 
 
+class DictImageBuilder(ProgramBuilder):
+    """A builder that also keeps its data image as a dict, one entry per
+    initialised word, the form the image took before it was dense."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.image = {}
+
+    def alloc_array(self, name, num_words, values=None):
+        base = super().alloc_array(name, num_words, values)
+        if isinstance(values, int):
+            values = [values] * num_words
+        for i, value in enumerate(values if values is not None else ()):
+            self.image[base + 8 * i] = int(value)
+        return base
+
+
+def dict_image_columns(image, data_base, data_end):
+    """The dict-to-columns encoding of a data image ``save_trace`` used
+    before programs held their image dense: the reference here."""
+    nwords = -(-(data_end - data_base) // 8)
+    addrs = np.fromiter(image.keys(), dtype=np.int64, count=len(image))
+    values = np.fromiter(image.values(), dtype=np.uint64, count=len(image))
+    index = (addrs - data_base) // 8
+    words = np.zeros(nwords, dtype=np.uint64)
+    words[index] = values
+    present = np.zeros(nwords, dtype=bool)
+    present[index] = True
+    return {"data_words": words, "data_present": np.packbits(present)}
+
+
+def test_data_columns_match_the_dict_encoding(tmp_path, monkeypatch):
+    """Every workload's bundle holds the data image a word-by-word dict
+    build gives: the synthetic arrays from the scalar ``_scramble``, each
+    word at its address, absent words zero and unflagged."""
+    clear_trace_cache()
+    for name in ALL_NAMES:
+        program = build_workload(name)
+        save_trace(tmp_path / f"{name}.npz", program,
+                   Emulator(program).run(100))
+    builders = []
+
+    def dict_builder(*args, **kwargs):
+        builders.append(DictImageBuilder(*args, **kwargs))
+        return builders[-1]
+    monkeypatch.setattr(synthetic, "ProgramBuilder", dict_builder)
+    monkeypatch.setattr(kernels, "ProgramBuilder", dict_builder)
+    monkeypatch.setattr(synthetic, "_scramble_words", lambda seed, n: [
+        synthetic._scramble(seed, i) for i in range(n)])
+    for name in ALL_NAMES:
+        clear_trace_cache()
+        builders.clear()
+        reference = build_workload(name)
+        [builder] = builders
+        expected = dict_image_columns(builder.image, reference.data_base,
+                                      reference.data_end)
+        with np.load(tmp_path / f"{name}.npz", allow_pickle=False) as bundle:
+            for key, column in expected.items():
+                assert bundle[key].dtype == column.dtype, (name, key)
+                assert np.array_equal(bundle[key], column), (name, key)
+    clear_trace_cache()
+
+
 class TestRoundTrip:
     def test_program_and_trace_roundtrip(self, tmp_path):
         program = build_workload("xz")
@@ -43,7 +107,10 @@ class TestRoundTrip:
         assert loaded_program.name == program.name
         assert loaded_program.entry_pc == program.entry_pc
         assert len(loaded_program) == len(program)
-        assert loaded_program.initial_data == program.initial_data
+        assert loaded_program.data_end == program.data_end
+        assert np.array_equal(loaded_program.data_words, program.data_words)
+        assert np.array_equal(loaded_program.data_present,
+                              program.data_present)
         assert loaded_program.arrays == program.arrays
         assert len(loaded_trace) == len(trace)
         assert loaded_trace.taken == trace.taken
@@ -165,6 +232,7 @@ class TestRoundTrip:
         ("next_pc", np.zeros(2_000, np.float64)),        # wrong dtype
         ("op_names", np.array(["NOT_AN_OP"])),           # unknown opcode
         ("label_text", None),                            # missing
+        ("data_words", np.zeros(36_864, np.uint32)),     # wrong dtype
     ])
     def test_malformed_members_raise(self, tmp_path, member, value):
         path = tmp_path / "xz.npz"

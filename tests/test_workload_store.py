@@ -29,7 +29,7 @@ from repro.common.config import small_core_config
 from repro.core.simulator import Simulator
 from repro.isa.uop import StaticUop
 from repro.sampling import SamplingPlan, SamplingSimulator
-from repro.workloads import profiles
+from repro.workloads import profiles, traceio
 from repro.workloads.emulator import Emulator
 from repro.workloads.profiles import (ALL_NAMES, bundle_path,
                                       clear_trace_cache, load_workload,
@@ -58,6 +58,18 @@ def no_builds(monkeypatch):
     monkeypatch.setattr(Emulator, "run", refuse)
 
 
+def record_reads(monkeypatch):
+    """Keep the members of every bundle read, in order."""
+    reads = []
+    read = traceio._read
+
+    def recording(path):
+        reads.append(read(path))
+        return reads[-1]
+    monkeypatch.setattr(traceio, "_read", recording)
+    return reads
+
+
 def count_emulations(monkeypatch):
     calls = []
     original = Emulator.run
@@ -79,7 +91,9 @@ def assert_same_program(loaded, fresh):
         for slot in StaticUop.__slots__:
             assert getattr(a, slot) == getattr(b, slot), (slot, a, b)
             assert type(getattr(a, slot)) is type(getattr(b, slot)), slot
-    assert loaded.initial_data == fresh.initial_data
+    for attr in ("data_words", "data_present"):
+        assert getattr(loaded, attr).dtype == getattr(fresh, attr).dtype
+        assert np.array_equal(getattr(loaded, attr), getattr(fresh, attr))
 
 
 def assert_same_trace(loaded, fresh):
@@ -104,10 +118,12 @@ class TestHitsMatchFreshBuilds:
 
         clear_trace_cache()
         no_builds(monkeypatch)
+        reads = record_reads(monkeypatch)
         for name in ALL_NAMES:
             program, trace = load_workload(name, LENGTH)
-            # the hit path builds no data dict (only emulation reads it)
-            assert callable(program._data)
+            # the hit path wraps the bundle's own word array: no copy,
+            # no per-word conversion
+            assert program.data_words is reads[-1]["data_words"]
             assert all(u is program.uops()[(u.pc - program.code_base) // 4]
                        for u in trace.uops)
             assert_same_trace(trace, fresh[name][1])
