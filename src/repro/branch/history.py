@@ -39,14 +39,16 @@ _SPECIALIZED: dict = {}
 
 
 def _specialized_class(gf_const, pf_const, ghr_mask, path_mask):
-    """Subclass of :class:`SpeculativeHistory` whose ``push`` is compiled
-    with this fold-spec set unrolled and every constant baked in.
+    """Subclass of :class:`SpeculativeHistory` whose ``push`` also
+    maintains the folds, compiled with this fold-spec set unrolled and
+    every constant baked in.
 
-    The generic ``push`` pays a zip + tuple-unpack + list build per call
-    over ~20 fold registers; the generated method is the same arithmetic
-    as straight-line statements (bit-identical values), installed by
-    ``__class__`` reassignment — legal because the subclass adds no slots,
-    so the instance layout is unchanged."""
+    The generated method applies the recurrence of the module docstring
+    to ~20 fold registers as straight-line statements, and is installed
+    by ``__class__`` reassignment — legal because the subclass adds no
+    slots, so the instance layout is unchanged. It rebinds fresh fold
+    tuples on every push (never mutates them): outstanding checkpoints
+    hold the previous tuples and must keep their values."""
     key = (tuple(gf_const), tuple(pf_const), ghr_mask, path_mask)
     cls = _SPECIALIZED.get(key)
     if cls is not None:
@@ -167,29 +169,12 @@ class SpeculativeHistory:
     # -- speculative update -------------------------------------------------
 
     def push(self, taken: bool, pc: int = 0) -> None:
-        """Shift in one branch outcome (and low PC bits into path history)."""
-        ghr = self.ghr
-        path = self.path
-        b = 1 if taken else 0
-        in2 = (pc >> 2) & 3
-        self.ghr = ((ghr << 1) | b) & self._ghr_mask
-        self.path = ((path << 2) | in2) & self._path_mask
-        gv = self._gf_vals
-        if gv or self._pf_vals:
-            # rebind fresh tuples (never mutate): outstanding checkpoints
-            # hold the previous tuples and must keep their values
-            self._gf_vals = gv = tuple(
-                ((((f << 1) | (f >> wm1)) & wmask)
-                 ^ (((ghr >> top_s) & 1) << drop_s) ^ b)
-                for f, (wm1, wmask, drop_s, top_s)
-                in zip(gv, self._gf_const))
-            self._pf_vals = pv = tuple(
-                ((((f << 2) | (f >> wm2)) & wmask)
-                 ^ (((path >> top1) & 1) << drop1_s)
-                 ^ (((path >> top2) & 1) << drop2_s) ^ in2)
-                for f, (wm2, wmask, drop1_s, drop2_s, top1, top2)
-                in zip(self._pf_vals, self._pf_const))
-            self.folds = (gv, pv)
+        """Shift in one branch outcome (and low PC bits into path history).
+
+        Folds are maintained by the ``push`` that :meth:`attach_folds` and
+        :meth:`adopt_folds` install, so this one shifts the registers only."""
+        self.ghr = ((self.ghr << 1) | (1 if taken else 0)) & self._ghr_mask
+        self.path = ((self.path << 2) | ((pc >> 2) & 3)) & self._path_mask
 
     # -- checkpointing ------------------------------------------------------
 
@@ -225,20 +210,3 @@ class SpeculativeHistory:
                 # registers-only checkpoint restored into a folds-attached
                 # history: recompute instead of silently keeping stale folds
                 self.refold()
-
-    def copy_from(self, other: "SpeculativeHistory") -> None:
-        """Clone another path's history (APF pipeline initialisation)."""
-        self.ghr = other.ghr
-        self.path = other.path
-        if self.folds is not None and other.folds is not None:
-            self._gf_vals = other._gf_vals
-            self._pf_vals = other._pf_vals
-            self.folds = (self._gf_vals, self._pf_vals)
-
-    def snapshot_with(self, taken: bool, pc: int = 0) -> tuple:
-        """Checkpoint as if ``taken`` had been pushed (without mutating)."""
-        saved = self.checkpoint()
-        self.push(taken, pc)
-        result = self.checkpoint()
-        self.restore(saved)
-        return result

@@ -107,66 +107,29 @@ class TageSCL:
         self._bim_mask = (1 << config.bimodal_log_size) - 1
         self._loop_mask = (1 << config.loop_log_size) - 1
         self._sc_mask = (1 << config.sc_log_size) - 1
-        self._hist_masks = [(1 << ln) - 1 for ln in self.history_lengths]
-        self._path_widths = [2 * min(ln, 16) for ln in self.history_lengths]
-        self._path_masks = [(1 << w) - 1 for w in self._path_widths]
-        self._sc_hist_masks = [(1 << ln) - 1 for ln in self._sc_lengths]
-        # Memoised XOR folds of (masked) history registers. fold_xor is a
-        # pure function of its masked input, so caching is exact: hits
-        # return bit-identical values to recomputation. Bounded so
-        # pathological history churn cannot grow them without limit.
-        self._ghr_folds: List[dict] = [{} for _ in range(n)]
-        self._path_folds: List[dict] = [{} for _ in range(n)]
-        self._sc_folds: List[dict] = [{} for _ in self._sc_lengths]
-        # Memoised lookup results, valid while no table entry they read
-        # has been written. ``_version`` is bumped only when an update or
-        # allocation actually writes storage (a saturated counter update
-        # writes nothing), so steady-state hot branches hit the memo on
-        # both the predict and the commit-time update lookup. The loop
-        # predictor is deliberately outside the memo: its entries mutate
-        # on every trained update, and its lookup is one table read.
-        self._version = 0
-        self._tp_cache: dict = {}
-        self._sc_sum_cache: dict = {}
-        self._ghr_key_mask = self._hist_masks[-1]
-        self._path_key_mask = self._path_masks[-1]
-        self._sc_key_mask = self._sc_hist_masks[-1] if self._sc_lengths else 0
-        # --- fold specs for history-maintained folds (see history.py) ---
-        # Deduplicated (length, width) pairs; the index arrays below map
-        # each per-table need (index fold, two tag folds, SC fold, path
-        # fold) to its position in the history's fold-value lists. A
-        # SpeculativeHistory attached via fold_specs() hands predict() the
-        # same fold values the inline caches would compute, with no
-        # per-lookup fold work at all.
-        ghr_specs: List[tuple] = []
-        ghr_where: dict = {}
-        path_specs: List[tuple] = []
-        path_where: dict = {}
+        # --- fold specs (see history.py) ---
+        # Deduplicated (length, width) pairs, in first-use order; the
+        # index arrays below map each per-table need (index fold, two tag
+        # folds, SC fold, path fold) to its position in the fold-value
+        # tuples every lookup reads. A SpeculativeHistory attached via
+        # fold_specs() maintains those tuples per push; predict()/update()
+        # recompute them for a caller that passes none.
+        ghr_specs: dict = {}
+        path_specs: dict = {}
 
-        def _g(length: int, width: int) -> int:
-            key = (length, width)
-            at = ghr_where.get(key)
-            if at is None:
-                at = ghr_where[key] = len(ghr_specs)
-                ghr_specs.append(key)
-            return at
-
-        def _p(length: int, width: int) -> int:
-            key = (length, width)
-            at = path_where.get(key)
-            if at is None:
-                at = path_where[key] = len(path_specs)
-                path_specs.append(key)
-            return at
+        def _at(specs: dict, length: int, width: int) -> int:
+            return specs.setdefault((length, width), len(specs))
 
         log = config.table_log_size
         tag_w = config.tag_width
-        self._gf_idx = [_g(ln, log) for ln in self.history_lengths]
-        self._gf_tag_a = [_g(ln, tag_w) for ln in self.history_lengths]
-        self._gf_tag_b = [_g(ln, tag_w - 1) for ln in self.history_lengths]
-        self._gf_sc = [_g(ln, config.sc_log_size) if ln > 0 else -1
-                       for ln in self._sc_lengths]
-        self._pf_idx = [_p(self._path_widths[t], log) for t in range(n)]
+        lengths = self.history_lengths
+        self._gf_idx = [_at(ghr_specs, ln, log) for ln in lengths]
+        self._gf_tag_a = [_at(ghr_specs, ln, tag_w) for ln in lengths]
+        self._gf_tag_b = [_at(ghr_specs, ln, tag_w - 1) for ln in lengths]
+        self._gf_sc = [_at(ghr_specs, ln, config.sc_log_size) if ln > 0
+                       else -1 for ln in self._sc_lengths]
+        self._pf_idx = [_at(path_specs, 2 * min(ln, 16), log)
+                        for ln in lengths]
         self._ghr_specs = tuple(ghr_specs)
         self._path_specs = tuple(path_specs)
         # longest-history-first walk order with all per-table fold
@@ -176,55 +139,18 @@ class TageSCL:
              self._gf_tag_a[t], self._gf_tag_b[t])
             for t in range(n - 1, -1, -1))
 
-    _FOLD_CACHE_LIMIT = 1 << 16
-
     def fold_specs(self):
         """(ghr specs, path specs) for ``SpeculativeHistory.attach_folds``."""
         return self._ghr_specs, self._path_specs
 
-    # -- memoised history folds ---------------------------------------------
-
-    def _hist_folds(self, table: int, ghr: int):
-        """(index_fold, tag_fold) of the masked global history for table."""
-        key = ghr & self._hist_masks[table]
-        cache = self._ghr_folds[table]
-        entry = cache.get(key)
-        if entry is None:
-            length = self.history_lengths[table]
-            tag_width = self.config.tag_width
-            entry = (
-                fold_xor(key, length, self.config.table_log_size),
-                fold_xor(key, length, tag_width)
-                ^ (fold_xor(key, length, tag_width - 1) << 1),
-            )
-            if len(cache) >= self._FOLD_CACHE_LIMIT:
-                cache.clear()
-            cache[key] = entry
-        return entry
-
-    def _path_fold(self, table: int, path: int) -> int:
-        key = path & self._path_masks[table]
-        cache = self._path_folds[table]
-        fold = cache.get(key)
-        if fold is None:
-            fold = fold_xor(key, self._path_widths[table],
-                            self.config.table_log_size)
-            if len(cache) >= self._FOLD_CACHE_LIMIT:
-                cache.clear()
-            cache[key] = fold
-        return fold
-
-    def _sc_fold(self, table: int, ghr: int) -> int:
-        key = ghr & self._sc_hist_masks[table]
-        cache = self._sc_folds[table]
-        fold = cache.get(key)
-        if fold is None:
-            fold = fold_xor(key, self._sc_lengths[table],
-                            self.config.sc_log_size)
-            if len(cache) >= self._FOLD_CACHE_LIMIT:
-                cache.clear()
-            cache[key] = fold
-        return fold
+    def _fold_values(self, ghr: int, path: int):
+        """The ``(ghr_fold_values, path_fold_values)`` pair recomputed from
+        the registers: bit-identical to what a history attached with
+        :meth:`fold_specs` maintains for the same ``ghr``/``path``."""
+        return (tuple(fold_xor(ghr, length, width)
+                      for length, width in self._ghr_specs),
+                tuple(fold_xor(path, length, width)
+                      for length, width in self._path_specs))
 
     # -- storage accounting --------------------------------------------------
 
@@ -268,29 +194,18 @@ class TageSCL:
             (entry.tag, entry.trip, entry.current,
              entry.confidence, entry.age) = saved
         self._rng.setstate(state["rng"])
-        self._version += 1   # restored storage invalidates memoised lookups
 
     # -- index / tag hashing ---------------------------------------------------
 
-    def _index(self, table: int, pc: int, ghr: int, path: int,
-               folds=None) -> int:
-        if folds is not None:
-            gv, pv = folds
-            hist_fold = gv[self._gf_idx[table]]
-            p_fold = pv[self._pf_idx[table]]
-        else:
-            hist_fold = self._hist_folds(table, ghr)[0]
-            p_fold = self._path_fold(table, path)
-        idx = (pc >> 2) ^ (pc >> self._pc_shift) ^ hist_fold ^ p_fold ^ table
+    def _index(self, table: int, pc: int, folds) -> int:
+        gv, pv = folds
+        idx = ((pc >> 2) ^ (pc >> self._pc_shift) ^ gv[self._gf_idx[table]]
+               ^ pv[self._pf_idx[table]] ^ table)
         return idx & self._idx_mask
 
-    def _tag(self, table: int, pc: int, ghr: int, folds=None) -> int:
-        if folds is not None:
-            gv = folds[0]
-            tag_fold = (gv[self._gf_tag_a[table]]
-                        ^ (gv[self._gf_tag_b[table]] << 1))
-        else:
-            tag_fold = self._hist_folds(table, ghr)[1]
+    def _tag(self, table: int, pc: int, folds) -> int:
+        gv = folds[0]
+        tag_fold = gv[self._gf_tag_a[table]] ^ (gv[self._gf_tag_b[table]] << 1)
         return ((pc >> 2) ^ tag_fold) & self._tag_mask
 
     def _bimodal_index(self, pc: int) -> int:
@@ -298,9 +213,9 @@ class TageSCL:
 
     # -- lookup ---------------------------------------------------------------
 
-    def _lookup(self, pc: int, ghr: int, path: int, folds=None):
-        """Return (provider_table, provider_idx, alt_taken, alt_provider,
-        provider_taken, provider_ctr) with provider_table == -1 for bimodal."""
+    def _lookup(self, pc: int, folds):
+        """Return (provider_table, provider_idx, alt_taken) with
+        provider_table == -1 for bimodal."""
         provider = -1
         provider_idx = -1
         alt_table = -1
@@ -310,83 +225,29 @@ class TageSCL:
         tag_mask = self._tag_mask
         pc2 = pc >> 2
         pc_mix = pc2 ^ (pc >> self._pc_shift)
-        if folds is not None:
-            # history-maintained folds: pure arithmetic per table
-            gv, pv = folds
-            for table, gi, pi, ga, gb in self._fold_rows:
-                idx = (pc_mix ^ gv[gi] ^ pv[pi] ^ table) & idx_mask
-                if tags[table][idx] == (
-                        pc2 ^ gv[ga] ^ (gv[gb] << 1)) & tag_mask:
-                    if provider < 0:
-                        provider, provider_idx = table, idx
-                    else:
-                        alt_table, alt_idx = table, idx
-                        break
-            bim_taken = self._bimodal[pc2 & self._bim_mask] >= 0
-            if alt_table >= 0:
-                alt_taken = self._ctrs[alt_table][alt_idx] >= 0
-            else:
-                alt_taken = bim_taken
-            return provider, provider_idx, alt_table, alt_idx, alt_taken
-        hist_masks = self._hist_masks
-        path_masks = self._path_masks
-        ghr_folds = self._ghr_folds
-        path_folds = self._path_folds
-        for table in range(self.config.num_tables - 1, -1, -1):
-            # inlined fold-cache probes (the methods are the miss path):
-            # this loop runs num_tables times per lookup and dominates the
-            # predictor's cost, so the common hit case must not pay two
-            # function calls per table
-            entry = ghr_folds[table].get(ghr & hist_masks[table])
-            if entry is None:
-                entry = self._hist_folds(table, ghr)
-            idx_fold, tag_fold = entry
-            pfold = path_folds[table].get(path & path_masks[table])
-            if pfold is None:
-                pfold = self._path_fold(table, path)
-            idx = (pc_mix ^ idx_fold ^ pfold ^ table) & idx_mask
-            if tags[table][idx] == (pc2 ^ tag_fold) & tag_mask:
+        gv, pv = folds
+        for table, gi, pi, ga, gb in self._fold_rows:
+            idx = (pc_mix ^ gv[gi] ^ pv[pi] ^ table) & idx_mask
+            if tags[table][idx] == (pc2 ^ gv[ga] ^ (gv[gb] << 1)) & tag_mask:
                 if provider < 0:
                     provider, provider_idx = table, idx
                 else:
                     alt_table, alt_idx = table, idx
                     break
-        bim_taken = self._bimodal[pc2 & self._bim_mask] >= 0
         if alt_table >= 0:
             alt_taken = self._ctrs[alt_table][alt_idx] >= 0
         else:
-            alt_taken = bim_taken
-        return provider, provider_idx, alt_table, alt_idx, alt_taken
+            alt_taken = self._bimodal[pc2 & self._bim_mask] >= 0
+        return provider, provider_idx, alt_taken
 
-    def _tage_predict(self, pc: int, ghr: int, path: int, folds=None):
-        """Memoising front for :meth:`_tage_predict_uncached`.
-
-        The result is a pure function of (pc, masked ghr, masked path) and
-        the TAGE/bimodal/use-alt storage; ``_version`` tracks the latter,
-        so a hit is bit-identical to recomputation."""
-        if folds is not None:
-            return self._tage_predict_uncached(pc, ghr, path, folds)
-        key = (pc, ghr & self._ghr_key_mask, path & self._path_key_mask)
-        cache = self._tp_cache
-        entry = cache.get(key)
-        version = self._version
-        if entry is not None and entry[0] == version:
-            return entry[1]
-        result = self._tage_predict_uncached(pc, ghr, path, folds)
-        if len(cache) >= self._FOLD_CACHE_LIMIT:
-            cache.clear()
-        cache[key] = (version, result)
-        return result
-
-    def _tage_predict_uncached(self, pc: int, ghr: int, path: int,
-                               folds=None):
-        provider, pidx, alt_table, alt_idx, alt_taken = self._lookup(
-            pc, ghr, path, folds)
+    def _tage_predict(self, pc: int, folds):
+        """Return (taken, confidence, provider name, provider_table,
+        provider_idx, alt_taken) of the TAGE part alone."""
+        provider, pidx, alt_taken = self._lookup(pc, folds)
         if provider < 0:
-            taken = self._bimodal[self._bimodal_index(pc)] >= 0
             ctr = self._bimodal[self._bimodal_index(pc)]
             confidence = CONF_HIGH if ctr in (-2, 1) else CONF_MED
-            return taken, confidence, "bimodal", provider, pidx, alt_taken
+            return ctr >= 0, confidence, "bimodal", provider, pidx, alt_taken
         ctr = self._ctrs[provider][pidx]
         taken = ctr >= 0
         weak = ctr in (-1, 0)
@@ -400,72 +261,36 @@ class TageSCL:
             confidence = CONF_MED
         else:
             confidence = CONF_LOW
-        del alt_table, alt_idx
         return taken, confidence, "tage", provider, pidx, alt_taken
 
     # -- statistical corrector --------------------------------------------------
 
-    def _sc_sum(self, pc: int, ghr: int, tage_taken: bool, folds=None) -> int:
-        if folds is not None:
-            # maintained folds make the direct sum cheaper than a memo
-            # probe at realistic hit rates
-            return (8 if tage_taken else -8) + self._sc_part(pc, ghr, folds)
-        # the table contribution is independent of tage_taken, so it is
-        # memoised on (pc, masked ghr) alone under the same _version
-        key = (pc, ghr & self._sc_key_mask)
-        cache = self._sc_sum_cache
-        entry = cache.get(key)
-        version = self._version
-        if entry is not None and entry[0] == version:
-            return (8 if tage_taken else -8) + entry[1]
-        part = self._sc_part(pc, ghr, folds)
-        if len(cache) >= self._FOLD_CACHE_LIMIT:
-            cache.clear()
-        cache[key] = (version, part)
-        return (8 if tage_taken else -8) + part
-
-    def _sc_part(self, pc: int, ghr: int, folds=None) -> int:
-        """Sum of ``2*ctr+1`` over the SC tables (storage access only)."""
+    def _sc_sum(self, pc: int, tage_taken: bool, folds) -> int:
+        """TAGE's vote plus ``2*ctr+1`` over the SC tables."""
+        gv = folds[0]
         pc2 = pc >> 2
         sc_mask = self._sc_mask
         sc_tables = self._sc_tables
-        part = 0
-        if folds is not None:
-            gv = folds[0]
-            gf_sc = self._gf_sc
-            for table in range(len(self._sc_lengths)):
-                at = gf_sc[table]
-                fold = gv[at] if at >= 0 else 0
-                idx = (pc2 ^ fold ^ (table * 0x9E37)) & sc_mask
-                part += 2 * sc_tables[table][idx] + 1
-            return part
-        sc_fold = self._sc_fold
-        for table in range(len(self._sc_lengths)):
-            idx = (pc2 ^ sc_fold(table, ghr) ^ (table * 0x9E37)) & sc_mask
-            part += 2 * sc_tables[table][idx] + 1
-        return part
+        total = 8 if tage_taken else -8
+        for table, at in enumerate(self._gf_sc):
+            fold = gv[at] if at >= 0 else 0
+            idx = (pc2 ^ fold ^ (table * 0x9E37)) & sc_mask
+            total += 2 * sc_tables[table][idx] + 1
+        return total
 
-    def _sc_write(self, pc: int, ghr: int, taken: bool, folds=None) -> bool:
-        """Train the SC tables toward ``taken``; True if storage changed."""
-        dirty = False
-        gv = folds[0] if folds is not None else None
-        gf_sc = self._gf_sc
-        for table in range(len(self._sc_lengths)):
-            if gv is not None:
-                at = gf_sc[table]
-                fold = gv[at] if at >= 0 else 0
-            else:
-                fold = self._sc_fold(table, ghr)
-            idx = ((pc >> 2) ^ fold
-                   ^ (table * 0x9E37)) & self._sc_mask
-            ctr = self._sc_tables[table][idx]
+    def _sc_write(self, pc: int, taken: bool, folds) -> None:
+        """Train the SC tables toward ``taken``."""
+        gv = folds[0]
+        pc2 = pc >> 2
+        for table, at in enumerate(self._gf_sc):
+            fold = gv[at] if at >= 0 else 0
+            idx = (pc2 ^ fold ^ (table * 0x9E37)) & self._sc_mask
+            row = self._sc_tables[table]
+            ctr = row[idx]
             if taken and ctr < self._sc_max:
-                self._sc_tables[table][idx] = ctr + 1
-                dirty = True
+                row[idx] = ctr + 1
             elif not taken and ctr > self._sc_min:
-                self._sc_tables[table][idx] = ctr - 1
-                dirty = True
-        return dirty
+                row[idx] = ctr - 1
 
     # -- loop predictor -----------------------------------------------------------
 
@@ -488,14 +313,17 @@ class TageSCL:
                 folds=None) -> Prediction:
         """Predict the direction of the conditional branch at ``pc``.
 
-        ``folds``, when given, is the attached history's
-        ``(ghr_fold_values, path_fold_values)`` pair (see
-        :meth:`fold_specs`); it short-circuits all fold recomputation and
-        is bit-identical to passing nothing."""
-        t = self._tage_predict(pc, ghr, path, folds)
+        ``folds`` is the attached history's ``(ghr_fold_values,
+        path_fold_values)`` pair (see :meth:`fold_specs`). A caller
+        without one passes none, and the folds are recomputed from
+        ``ghr``/``path``: the same values, at the cost of ``fold_xor``
+        per spec."""
+        if folds is None:
+            folds = self._fold_values(ghr, path)
+        t = self._tage_predict(pc, folds)
         taken, confidence, provider = t[0], t[1], t[2]
         if self.config.enable_sc:
-            total = self._sc_sum(pc, ghr, taken, folds)
+            total = self._sc_sum(pc, taken, folds)
             sc_taken = total >= 0
             if sc_taken != taken and abs(total) >= self._sc_threshold:
                 taken = sc_taken
@@ -522,22 +350,23 @@ class TageSCL:
         ``backward`` marks loop-shaped branches (target below the branch);
         only those train the loop predictor, which keeps its small table
         from being thrashed by ordinary forward branches. ``folds`` is the
-        fold vector captured in the same checkpoint as ``ghr``/``path``.
+        fold pair captured in the same checkpoint as ``ghr``/``path``,
+        recomputed from them when not given (as in :meth:`predict`).
         """
+        if folds is None:
+            folds = self._fold_values(ghr, path)
         cfg = self.config
         (pred_taken, _conf, _prov, provider, pidx,
-         alt_taken) = self._tage_predict(pc, ghr, path, folds)
-        dirty = False   # did this update write any memo-covered storage?
+         alt_taken) = self._tage_predict(pc, folds)
 
         if cfg.enable_sc:
-            total = self._sc_sum(pc, ghr, pred_taken, folds)
+            total = self._sc_sum(pc, pred_taken, folds)
             sc_taken = total >= 0
             final_taken = pred_taken
             if sc_taken != pred_taken and abs(total) >= self._sc_threshold:
                 final_taken = sc_taken
             if final_taken != taken or abs(total) < 3 * self._sc_threshold:
-                if self._sc_write(pc, ghr, taken, folds):
-                    dirty = True
+                self._sc_write(pc, taken, folds)
 
         if cfg.enable_loop_predictor and backward:
             self._loop_update(pc, taken)
@@ -553,58 +382,44 @@ class TageSCL:
                 limit = mask(cfg.use_alt_on_na_bits)
                 if alt_taken == taken and self._use_alt_on_na < limit:
                     self._use_alt_on_na += 1
-                    dirty = True
                 elif alt_taken != taken and self._use_alt_on_na > 0:
                     self._use_alt_on_na -= 1
-                    dirty = True
             # usefulness: provider differs from alt and was correct
             if provider_taken != alt_taken:
                 if provider_taken == taken:
                     if self._useful[provider][pidx] < self._useful_max:
                         self._useful[provider][pidx] += 1
-                        dirty = True
                 elif self._useful[provider][pidx] > 0:
                     self._useful[provider][pidx] -= 1
-                    dirty = True
             # counter update
             if taken and ctr < self._ctr_max:
                 self._ctrs[provider][pidx] = ctr + 1
-                dirty = True
             elif not taken and ctr > self._ctr_min:
                 self._ctrs[provider][pidx] = ctr - 1
-                dirty = True
         else:
             idx = self._bimodal_index(pc)
             ctr = self._bimodal[idx]
             if taken and ctr < 1:
                 self._bimodal[idx] = ctr + 1
-                dirty = True
             elif not taken and ctr > -2:
                 self._bimodal[idx] = ctr - 1
-                dirty = True
-        if dirty:
-            self._version += 1
 
         if mispredicted and provider < cfg.num_tables - 1:
-            self._allocate(pc, ghr, path, taken, provider, folds)
+            self._allocate(pc, taken, provider, folds)
 
-    def _allocate(self, pc: int, ghr: int, path: int, taken: bool,
-                  provider: int, folds=None) -> None:
+    def _allocate(self, pc: int, taken: bool, provider: int, folds) -> None:
         """Allocate an entry in a table with longer history than provider."""
         cfg = self.config
-        # always writes storage: either a fresh entry or usefulness aging
-        # (aging only runs when every candidate slot has useful > 0)
-        self._version += 1
         start = provider + 1
         candidates = []
         for table in range(start, cfg.num_tables):
-            idx = self._index(table, pc, ghr, path, folds)
+            idx = self._index(table, pc, folds)
             if self._useful[table][idx] == 0:
                 candidates.append((table, idx))
         if not candidates:
             # age the competition so future allocations can succeed
             for table in range(start, cfg.num_tables):
-                idx = self._index(table, pc, ghr, path, folds)
+                idx = self._index(table, pc, folds)
                 if self._useful[table][idx] > 0:
                     self._useful[table][idx] -= 1
             return
@@ -613,7 +428,7 @@ class TageSCL:
         if len(candidates) > 1 and self._rng.chance(0.33):
             pick = 1
         table, idx = candidates[pick]
-        self._tags[table][idx] = self._tag(table, pc, ghr, folds)
+        self._tags[table][idx] = self._tag(table, pc, folds)
         self._ctrs[table][idx] = 0 if taken else -1
         self._useful[table][idx] = 0
         # global useful reset tick

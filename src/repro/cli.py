@@ -267,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output file for chrome/o3 (default "
                               "<workload>.trace.json / "
                               "<workload>.o3pipeview.txt)")
-    trace_p.add_argument("--capacity", type=int, default=1_000_000,
+    trace_p.add_argument("--capacity", type=_at_least(1), default=1_000_000,
                          help="event ring-buffer capacity; oldest events "
                               "drop beyond it (default 1000000)")
-    trace_p.add_argument("--start", type=int, default=0,
+    trace_p.add_argument("--start", type=_at_least(0), default=0,
                          help="first cycle of the text window (default 0)")
-    trace_p.add_argument("--cycles", type=int, default=100,
+    trace_p.add_argument("--cycles", type=_at_least(1), default=100,
                          help="width of the text window (default 100)")
     trace_p.add_argument("--seed", type=int, default=1234)
     trace_p.add_argument("--scale", choices=("small", "paper"),

@@ -73,10 +73,6 @@ class Bundle:
         # runs from the block cache. False forces the per-uop path.
         self.batchable = batchable
 
-    @property
-    def first_seq(self) -> int:
-        return self.uops[0].seq
-
 
 class BranchUnit:
     """Shared prediction structures: direction predictor, BTB, indirect,

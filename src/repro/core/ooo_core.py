@@ -330,10 +330,10 @@ class OoOCore:
         are the stall counters: ``stall_ftq_full`` (the frontend spinning
         against a full fetch queue) and whichever single backend stall
         counter a blocked head-of-queue allocation fires (the first failing
-        check in :meth:`_has_backend_space` is a pure function of state
-        that cannot change inside the window). Both are batch-incremented
-        by the skip length; every other skipped cycle is a complete no-op
-        by construction of :meth:`_next_cycle`.
+        backend-space check in :meth:`_allocate` is a pure function of
+        state that cannot change inside the window). Both are
+        batch-incremented by the skip length; every other skipped cycle is
+        a complete no-op by construction of :meth:`_next_cycle`.
         """
         trim_mask = self._trim_mask
         trim_horizon = self._trim_horizon
@@ -986,26 +986,6 @@ class OoOCore:
     # allocate
     # ------------------------------------------------------------------
 
-    def _has_backend_space(self, du: DynUop) -> bool:
-        if len(self.rob) >= self._rob_entries:
-            if self._collect:
-                self._c_stall_rob.value += 1
-            return False
-        if len(self.sched_heap) >= self._sched_entries:
-            if self._collect:
-                self._c_stall_sched.value += 1
-            return False
-        op = du.static.op
-        if op is Op.LOAD and self.load_count >= self._lq_entries:
-            if self._collect:
-                self._c_stall_lq.value += 1
-            return False
-        if op is Op.STORE and self.store_count >= self._sq_entries:
-            if self._collect:
-                self._c_stall_sq.value += 1
-            return False
-        return True
-
     def _allocate(self) -> None:
         now = self.now
         sched = self.sched_heap
@@ -1022,7 +1002,6 @@ class OoOCore:
         rq = self.restore_queue
         while budget and rq and rq[0][0] <= now:
             du = rq[0][1]
-            # inlined _has_backend_space (allocation hot path)
             if len(rob) >= rob_entries:
                 if collect:
                     self._c_stall_rob.value += 1

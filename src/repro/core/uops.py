@@ -70,7 +70,7 @@ class InflightBranch:
         self.ghr_at_predict = 0
         self.path_at_predict = 0
         # fold vectors captured in the same checkpoint as ghr/path, so
-        # the retire-time predictor update hits the folds fast path
+        # the retire-time predictor update recomputes no fold
         self.folds_at_predict: Optional[Tuple] = None
         self.rat_checkpoint: Tuple = ()
         self.h2p_marked = False

@@ -93,14 +93,16 @@ class FunctionalWarmer:
                 kind = su.kind
                 if kind is cond:
                     actual = taken_arr[index]
-                    pred = predictor.predict(pc, hist.ghr, hist.path)
+                    folds = hist.folds
+                    pred = predictor.predict(pc, hist.ghr, hist.path, folds)
                     if pred.taken != actual:
                         h2p.record_misprediction(pc)
                         wrong_pc = su.target if pred.taken \
                             else su.fallthrough
                         self._walk_wrong_path(wrong_pc, pred.taken, su)
                     predictor.update(pc, hist.ghr, actual, hist.path,
-                                     backward=0 <= su.target < pc)
+                                     backward=0 <= su.target < pc,
+                                     folds=folds)
                     if actual and btb.lookup(pc) is None:
                         target = su.target if su.target >= 0 \
                             else su.fallthrough
@@ -173,6 +175,8 @@ class FunctionalWarmer:
             if su.is_branch:
                 kind = su.kind
                 if kind is cond:
+                    # only the local ghr shifts (path stays put), so no
+                    # history maintains its folds: predict recomputes them
                     pred = predictor.predict(pc, ghr, path)
                     ghr = (ghr << 1) | (1 if pred.taken else 0)
                     if pred.taken:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import re
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Tuple
 
@@ -217,6 +218,28 @@ def bundle_path(name: str, num_instructions: int) -> Path:
             f"{generator_digest()}.npz")
 
 
+#: a bundle key: ``<name>-<length>-v<format version>-<generator digest>.npz``
+_BUNDLE_NAME = re.compile(r"^.+-\d+-v(\d+)-([0-9a-f]+)\.npz$")
+
+
+def _drop_unreadable_bundles(store: Path) -> None:
+    """Unlink the bundles in ``store`` that this code can never read:
+    those keyed by another format version or generator digest. A process
+    still running other code only rebuilds what it loses; temp files
+    (``*.tmp.*``) never match, so no write in flight is touched."""
+    current = (str(TRACE_FORMAT_VERSION), generator_digest())
+    try:
+        for entry in store.glob("*.npz"):
+            match = _BUNDLE_NAME.match(entry.name)
+            if match is not None and match.groups() != current:
+                try:
+                    entry.unlink()
+                except OSError:
+                    pass
+    except OSError:
+        pass
+
+
 def _complete(trace: DynamicTrace, name: str, num_instructions: int) -> bool:
     """``trace`` is what emulating ``name`` for ``num_instructions``
     gives: that many uops, or fewer ending at the program's HALT."""
@@ -231,9 +254,11 @@ def load_workload(name: str,
     """The program of ``name`` and its trace of ``num_instructions``.
 
     Looks in this process's caches, then in the workload store; on a
-    miss builds, emulates, and commits the bundle atomically. An
-    unreadable or malformed bundle counts as a miss and is rewritten.
-    A store that cannot be written costs rebuilds, never the result.
+    miss builds, emulates, and commits the bundle atomically, then drops
+    the store's bundles under another format version or generator
+    digest. An unreadable or malformed bundle counts as a miss and is
+    rewritten. A store that cannot be written costs rebuilds, never the
+    result.
     """
     key = (name, num_instructions)
     trace = _trace_cache.get(key)
@@ -255,5 +280,7 @@ def load_workload(name: str,
             save_trace(path, program, trace)
         except OSError:
             pass
+        else:
+            _drop_unreadable_bundles(path.parent)
     _trace_cache[key] = trace
     return program, trace

@@ -44,27 +44,11 @@ class TestHistory:
         hist.restore(snap)
         assert hist.checkpoint() == snap
 
-    def test_snapshot_with_does_not_mutate(self):
-        hist = SpeculativeHistory(16)
-        hist.push(True, 0x40)
-        before = hist.checkpoint()
-        snap = hist.snapshot_with(True, 0x44)
-        assert hist.checkpoint() == before
-        hist.push(True, 0x44)
-        assert hist.checkpoint() == snap
-
-    def test_copy_from(self):
-        a, b = SpeculativeHistory(16), SpeculativeHistory(16)
-        a.push(True, 4)
-        a.push(False, 8)
-        b.copy_from(a)
-        assert b.checkpoint() == a.checkpoint()
-
 
 class TestFoldedHistories:
     """The O(1)-per-push maintained folds must stay bit-identical to
     ``fold_xor`` recomputation of the masked registers — across pushes,
-    checkpoint/restore, adopt_folds, and copy_from."""
+    checkpoint/restore, and adopt_folds."""
 
     GHR_SPECS = [(4, 10), (7, 10), (13, 11), (24, 10), (43, 11),
                  (78, 10), (141, 11), (256, 10), (5, 10), (11, 10),

@@ -95,6 +95,11 @@ class TestParser:
         (["run", "--apf", "--depth", "0"], "--depth"),
         (["compare", "--buffers", "-1"], "--buffers"),
         (["trace", "leela", "--dpip", "--depth", "0"], "--depth"),
+        (["trace", "leela", "--capacity", "0"], "--capacity"),
+        (["trace", "leela", "--capacity", "-1"], "--capacity"),
+        (["trace", "leela", "--cycles", "0"], "--cycles"),
+        (["trace", "leela", "--cycles", "-5"], "--cycles"),
+        (["trace", "leela", "--start", "-10"], "--start"),
         (["submit", "--buffers", "-2"], "--buffers"),
     ])
     def test_malformed_windows_and_specs_exit_2(self, argv, flag, capsys):

@@ -1,11 +1,12 @@
-"""Randomized TAGE-SC-L path equivalence.
+"""Randomized TAGE-SC-L fold equivalence.
 
-``TageSCL`` has two ways to reach the same table entries. The core hands
-``predict``/``update`` the fold values its attached
-``SpeculativeHistory`` maintains (the folds path); the sampling
-``FunctionalWarmer`` passes none, so the predictor folds the raw history
-itself through its fold and lookup memos (the no-folds path). Both must
-be bit-identical on *any* predict/update sequence: every Prediction
+``TageSCL`` has one lookup, which reads a ``(ghr_fold_values,
+path_fold_values)`` pair. The core, APF shadow fetch and the sampling
+``FunctionalWarmer`` hand ``predict``/``update`` the folds their attached
+``SpeculativeHistory`` maintains per push; a caller that passes none (the
+warmer's wrong-path walk, standalone use) gets them recomputed from the
+raw registers by ``fold_xor``. Maintained and recomputed folds must give
+bit-identical results on *any* predict/update sequence: every Prediction
 triple and the full storage snapshot, including the allocation RNG
 state. A snapshot/restore round-trip mid-sequence (the sampling
 checkpoint path) must not disturb either.
@@ -68,9 +69,10 @@ def drive(predictor, seed: int, steps: int, use_folds: bool,
           roundtrip_every: int = 0):
     """Run a predict/update walk; returns the observed prediction trail.
 
-    ``roundtrip_every > 0`` additionally snapshot/restores the predictor
-    into itself every that-many steps, exercising the save path and the
-    restore path mid-sequence (memoised state must be invalidated)."""
+    ``use_folds`` passes the attached history's maintained folds, else
+    none (the predictor recomputes them). ``roundtrip_every > 0``
+    additionally snapshot/restores the predictor into itself every
+    that-many steps, exercising the save and restore paths mid-sequence."""
     hist = make_history(predictor, use_folds)
     trail = []
     for i, (pc, taken, backward) in enumerate(stimulus(seed, steps)):
@@ -119,10 +121,11 @@ class TestRandomizedEquivalence:
         # a PC with no tagged hit and a free slot: the update's only
         # usefulness writes are then the allocation's own
         tables = range(predictor.config.num_tables)
+        folds = predictor._fold_values(0, 0)
         for pc in range(0x80000, 0x90000, 4):
-            taken, _, _, provider, _, _ = predictor._tage_predict(pc, 0, 0)
+            taken, _, _, provider, _, _ = predictor._tage_predict(pc, folds)
             if provider < 0 and any(
-                    before[t][predictor._index(t, pc, 0, 0)] == 0
+                    before[t][predictor._index(t, pc, folds)] == 0
                     for t in tables):
                 break
         predictor._tick = (1 << 14) - 1

@@ -2,6 +2,8 @@
 functional fast-forward, the sampling simulator, and its harness/CLI
 integration."""
 
+import inspect
+
 import pytest
 
 from repro.analysis import harness
@@ -198,6 +200,51 @@ class TestFunctionalWarmer:
 
         assert abs(warm_mis - dense_mis) / max(1, dense_mis) < 0.25
         assert warm_mis < untrained_mis
+
+    def test_passes_the_history_folds_to_the_predictor(self):
+        """Outside the wrong-path walk, every predict/update the warmer
+        makes carries the folds the core's history holds at that call, so
+        the predictor never recomputes them for the trace's branches."""
+        core = make_core()
+        core.quiesce()
+        warmer = FunctionalWarmer(core)
+        predictor = core.branch_unit.predictor
+        hist = core.fetch.history
+        assert hist.folds is not None
+        seen = {"predict": 0, "update": 0, "walks": 0, "walk_predicts": 0}
+        walking = []
+
+        def spy(name):
+            method = getattr(predictor, name)
+            signature = inspect.signature(method)
+
+            def call(*args, **kwargs):
+                if walking:
+                    seen["walk_predicts"] += 1
+                else:
+                    folds = signature.bind(*args, **kwargs).arguments.get(
+                        "folds")
+                    assert folds is hist.folds, (name, args)
+                    seen[name] += 1
+                return method(*args, **kwargs)
+            return call
+
+        walk = warmer._walk_wrong_path
+
+        def walk_spy(*args):
+            seen["walks"] += 1
+            walking.append(True)
+            try:
+                return walk(*args)
+            finally:
+                walking.pop()
+
+        predictor.predict = spy("predict")
+        predictor.update = spy("update")
+        warmer._walk_wrong_path = walk_spy
+        assert warmer.advance(4000) == 4000
+        assert seen["predict"] == seen["update"] > 100
+        assert seen["walks"] > 0 and seen["walk_predicts"] > 0
 
 
 # --------------------------------------------------------------------------

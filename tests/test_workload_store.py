@@ -11,6 +11,8 @@ Properties asserted here:
   and the miss rewrites them;
 * the key changes with the generator sources, and names the sources a
   process loaded, not the files as they are when it builds;
+* a miss commit drops the bundles keyed by another format version or
+  generator digest, and nothing else;
 * concurrent writers leave one complete bundle and no temp files.
 """
 
@@ -256,9 +258,35 @@ class TestKey:
         clear_trace_cache()
         emulations = count_emulations(monkeypatch)
         load_workload("xz", LENGTH)
-        # the bundle under the old digest is never served
+        # the bundle under the old digest is never served, and the commit
+        # under the new one drops it
         assert emulations == [LENGTH]
-        assert bundle_path("xz", LENGTH).exists() and old.exists()
+        assert bundle_path("xz", LENGTH).exists() and not old.exists()
+
+    def test_miss_commit_drops_bundles_of_other_keys(self, store):
+        load_workload("xz", LENGTH)
+        load_workload("tc", LENGTH)
+        version, digest = TRACE_FORMAT_VERSION, profiles.generator_digest()
+        other_digest = "f" * 16 if digest != "f" * 16 else "e" * 16
+        stale = [store / f"leela-{LENGTH}-v{version}-{other_digest}.npz",
+                 store / f"leela-{LENGTH}-v{version + 1}-{digest}.npz",
+                 store / f"pr-2000-v{version - 1}-{other_digest}.npz"]
+        for path in stale:
+            path.write_bytes(b"a bundle of other code")
+        kept = [store / f"pr-2000-v{version}-{other_digest}.npz"
+                f".tmp.{os.getpid()}.1",          # a write in flight
+                store / "notes.npz",              # not a bundle key
+                store.parent / stale[0].name]     # outside the store
+        for path in kept:
+            path.write_bytes(b"")
+        # a bundle-named directory cannot be unlinked: ignored
+        blocked = store / f"gcc-{LENGTH}-v{version}-{other_digest}.npz"
+        blocked.mkdir()
+        load_workload("mcf", LENGTH)               # a miss: commits
+        assert not any(path.exists() for path in stale)
+        assert all(path.exists() for path in kept) and blocked.is_dir()
+        assert all(bundle_path(name, LENGTH).exists()
+                   for name in ("xz", "tc", "mcf"))
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")
