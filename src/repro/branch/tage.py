@@ -48,6 +48,29 @@ class Prediction:
 
 
 def _geometric_lengths(cfg: TageConfig) -> List[int]:
+    """Tagged-table history lengths: a geometric series from
+    ``min_history`` to ``max_history``, made strictly increasing.
+
+    The history register holds ``max_history`` bits, so a geometry with
+    more tables than distinct lengths in that range is refused: the
+    monotonicity fix-up would otherwise push lengths past the register,
+    and maintained and recomputed folds would disagree.
+    """
+    if cfg.num_tables < 1:
+        raise ValueError(
+            f"TageConfig.num_tables must be >= 1, got {cfg.num_tables}")
+    if cfg.min_history < 1:
+        raise ValueError(
+            f"TageConfig.min_history must be >= 1, got {cfg.min_history}")
+    if cfg.max_history < cfg.min_history:
+        raise ValueError(
+            f"TageConfig.max_history must be >= min_history "
+            f"({cfg.min_history}), got {cfg.max_history}")
+    span = cfg.max_history - cfg.min_history + 1
+    if cfg.num_tables > span:
+        raise ValueError(
+            f"TageConfig.num_tables must be <= max_history - min_history "
+            f"+ 1 ({span}), got {cfg.num_tables}")
     if cfg.num_tables == 1:
         return [cfg.min_history]
     ratio = (cfg.max_history / cfg.min_history) ** (1.0 / (cfg.num_tables - 1))

@@ -125,6 +125,25 @@ def _sampling_spec(text: str) -> str:
     return text
 
 
+def _workload_list(spec: str) -> List[str]:
+    """argparse ``type=``: a comma-separated list of known workloads, or
+    ``all``/``spec``/``gap``; never empty."""
+    if spec == "all":
+        return list(ALL_NAMES)
+    if spec == "spec":
+        return list(SPEC_NAMES)
+    if spec == "gap":
+        return list(GAP_NAMES)
+    names = [n.strip() for n in spec.split(",") if n.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"no workload named in {spec!r}")
+    unknown = [n for n in names if n not in ALL_NAMES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown workloads: {', '.join(unknown)}")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -194,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_profile(run_p)
 
     cmp_p = sub.add_parser("compare", help="baseline vs APF on workloads")
-    cmp_p.add_argument("--workloads", default="leela,deepsjeng,tc",
+    cmp_p.add_argument("--workloads", type=_workload_list,
+                       default="leela,deepsjeng,tc",
                        help="comma-separated list, or 'all'/'spec'/'gap'")
     add_common(cmp_p)
     add_apf(cmp_p)
@@ -328,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="compare",
                           help="request kind when building from flags "
                                "(default compare)")
-    submit_p.add_argument("--workloads", default="leela,deepsjeng,tc",
+    submit_p.add_argument("--workloads", type=_workload_list,
+                          default="leela,deepsjeng,tc",
                           help="comma-separated list, or 'all'/'spec'/'gap'")
     submit_p.add_argument("--warmup", type=_at_least(0), default=None)
     submit_p.add_argument("--measure", type=_at_least(1), default=None)
@@ -415,20 +436,6 @@ def config_from_args(args, apf: Optional[bool] = None) -> CoreConfig:
     return config_from_spec(_spec_from_args(args, apf))
 
 
-def _workload_list(spec: str) -> List[str]:
-    if spec == "all":
-        return list(ALL_NAMES)
-    if spec == "spec":
-        return list(SPEC_NAMES)
-    if spec == "gap":
-        return list(GAP_NAMES)
-    names = [n.strip() for n in spec.split(",") if n.strip()]
-    unknown = [n for n in names if n not in ALL_NAMES]
-    if unknown:
-        raise SystemExit(f"unknown workloads: {', '.join(unknown)}")
-    return names
-
-
 def _run_one(workload: str, config: CoreConfig, args):
     """One cached simulation with the CLI's window/seed/cache options."""
     result = harness.run_cached(workload, config,
@@ -481,7 +488,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    names = _workload_list(args.workloads)
+    names = args.workloads
     base_cfg = config_from_args(args, apf=False)
     apf_cfg = config_from_args(args, apf=True)
     base = {}
@@ -797,7 +804,7 @@ def _cmd_serve(args) -> int:
 def _request_from_args(args) -> dict:
     base_spec = _spec_from_args(args, apf=False)
     apf_spec = _spec_from_args(args, apf=True)
-    workloads = _workload_list(args.workloads)
+    workloads = args.workloads
     doc: Dict[str, object] = {
         "kind": args.kind,
         "warmup": args.warmup,

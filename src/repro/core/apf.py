@@ -82,7 +82,7 @@ class AlternatePathBuffer:
 class APFEngine:
     def __init__(self, config: APFConfig, branch_unit: BranchUnit,
                  program: Program, hierarchy, frontend_config,
-                 stats: StatGroup, block_cache=None) -> None:
+                 stats: StatGroup) -> None:
         self.config = config
         self.bu = branch_unit
         self.program = program
@@ -108,12 +108,8 @@ class APFEngine:
         self._shadow_queue_entries = config.shadow_branch_queue_entries
         # straight-line shadow uops carry only their StaticUop (all
         # prediction fields default) and are never mutated once buffered,
-        # so every job shares one interned prototype per static uop —
-        # from the core's BlockCache when available (one set per core)
-        if block_cache is not None:
-            self._protos = block_cache.shadow_protos()
-        else:
-            self._protos = [BufferedUop(su) for su in self._prog_uops]
+        # so every job shares one interned prototype per static uop
+        self._protos = [BufferedUop(su) for su in self._prog_uops]
         # one shadow history re-seeded in place across consecutive jobs:
         # start_job only fires while no other job is live, and finished
         # jobs survive only as checkpoint tuples, so the fold state can

@@ -27,7 +27,6 @@ from repro.isa.opcodes import UOP_BYTES, BranchKind, Op
 from repro.workloads.program import Program
 from repro.workloads.trace import DynamicTrace
 
-from repro.core.block_cache import trace_nonbranch_runs
 from repro.core.uops import DynUop, InflightBranch
 
 __all__ = ["Bundle", "BranchUnit", "MainFetchEngine", "STALL_BTB",
@@ -52,15 +51,29 @@ def synthetic_address(program: Program, pc: int, seq: int) -> int:
     return program.data_base + ((z % span) & ~7)
 
 
+def trace_nonbranch_runs(trace: DynamicTrace) -> List[int]:
+    """``run[i]`` = number of consecutive non-branch trace entries
+    starting at index ``i`` (``run[len(trace)] == 0`` sentinel included).
+    On-trace fetch never sees HALT (the emulator stops before retiring
+    it), so only branches end a run."""
+    uops = trace.uops
+    n = len(uops)
+    run = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        if not uops[i].is_branch:
+            run[i] = run[i + 1] + 1
+    return run
+
+
 class Bundle:
     """One fetch packet: up to ``width`` uops fetched in a single cycle."""
 
     __slots__ = ("uops", "fetch_cycle", "ready_cycle", "start_pc",
-                 "icache_extra", "batchable")
+                 "icache_extra")
 
     def __init__(self, uops: List[DynUop], fetch_cycle: int,
                  ready_cycle: int, start_pc: int,
-                 icache_extra: int = 0, batchable: bool = False) -> None:
+                 icache_extra: int = 0) -> None:
         self.uops = uops
         self.fetch_cycle = fetch_cycle
         self.ready_cycle = ready_cycle
@@ -68,10 +81,6 @@ class Bundle:
         # icache-miss cycles folded into ready_cycle; the CPI accounting
         # splits the in-flight wait into pipe traversal vs icache tail
         self.icache_extra = icache_extra
-        # True when the bundle was built by the block-grain fast path with
-        # no icache event: the allocator may then batch its straight-line
-        # runs from the block cache. False forces the per-uop path.
-        self.batchable = batchable
 
 
 class BranchUnit:
@@ -249,8 +258,7 @@ class MainFetchEngine:
         run, and equally the runs that follow each not-taken branch.
         Branches themselves (and trace end, HALT, image edges) take the
         per-uop reference path; the produced bundles are identical
-        either way. A batchable bundle is flagged so the allocator can
-        replay its runs from the block cache.
+        either way.
         """
         if self.publish_banks:
             self.cycle_tage_banks.clear()
@@ -340,10 +348,8 @@ class MainFetchEngine:
             if now + 1 + extra > self.stall_until:
                 self.stall_until = now + 1 + extra
                 self.stall_cause = STALL_ICACHE
-            # an icache event is a fast-path fallback trigger: the bundle
-            # contents stand, but it must not batch-allocate
             return Bundle(uops, now, ready, start_pc, extra)
-        return Bundle(uops, now, ready, start_pc, batchable=use_fp)
+        return Bundle(uops, now, ready, start_pc)
 
     def _fetch_one(self, now: int) -> Optional[DynUop]:
         self._bundle_ended = False

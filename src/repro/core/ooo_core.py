@@ -38,7 +38,6 @@ from repro.workloads.program import Program
 from repro.workloads.trace import DynamicTrace
 
 from repro.core.apf import AlternatePathBuffer, APFEngine
-from repro.core.block_cache import BlockCache
 from repro.core.fetch_engine import (
     STALL_BTB,
     STALL_ICACHE,
@@ -123,18 +122,10 @@ class OoOCore:
         self.load_count = 0
         self.store_count = 0
 
-        # block-grain frontend fast path: precomputed decode/dependence
-        # templates keyed by block start PC (see repro.core.block_cache).
-        # Built before the APF engine so the shadow fetch can share the
-        # cache's interned straight-line BufferedUop prototypes.
-        self.block_cache = BlockCache(program, self.exec,
-                                      config.frontend.width)
-
         self.apf: Optional[APFEngine] = None
         if apf_cfg.enabled:
             self.apf = APFEngine(apf_cfg, self.branch_unit, program,
-                                 self.hierarchy, config.frontend, self.stats,
-                                 block_cache=self.block_cache)
+                                 self.hierarchy, config.frontend, self.stats)
 
         # structural limits and loop constants, cached off the config
         be = config.backend
@@ -161,7 +152,6 @@ class OoOCore:
         # Only the BANKED scheme ever reads the per-cycle bank sets, so
         # every other configuration skips that bookkeeping.
         self.fetch.publish_banks = scheme == FetchScheme.BANKED
-        self._done_scratch = [0] * config.frontend.width
 
         # hot-path counter cells (see repro.common.statistics.StatCell)
         stats = self.stats
@@ -1034,24 +1024,6 @@ class OoOCore:
             if bundle.ready_cycle > now:
                 break
             du = uops[index]
-            if bundle.batchable and not du.static.is_branch:
-                # block-grain batch: a straight-line run starts here (any
-                # suffix of a run is a run, so a bundle resumed mid-block
-                # after a budget split re-enters through its own suffix
-                # template). Allocates the run in one call iff the
-                # backend provably has room for all of it; returns 0
-                # otherwise and the per-uop path below handles partial
-                # allocation and the stall counters exactly as the
-                # reference does.
-                template = self.block_cache.template(du.static.pc)
-                if template is not None:
-                    n = self._allocate_block(head, bundle, template, index,
-                                             budget, now)
-                    if n:
-                        budget -= n
-                        if head[1] >= len(uops):
-                            ftq.popleft()
-                        continue
             if len(rob) >= rob_entries:
                 if collect:
                     self._c_stall_rob.value += 1
@@ -1074,125 +1046,6 @@ class OoOCore:
                 ftq.popleft()
             allocate_uop(du)
             budget -= 1
-
-    def _allocate_block(self, head, bundle, template, index: int,
-                        budget: int, now: int) -> int:
-        """Batch-allocate the remainder of a branch-free fast-path bundle.
-
-        Pre-checks that every structural limit holds for the whole batch
-        (the checks are monotone within one allocation cycle: the ROB,
-        scheduler, LQ and SQ only grow between retires, so room for N
-        implies every per-uop check would have passed). On any shortfall
-        it allocates nothing and returns 0 — the caller's per-uop path
-        then reproduces the partial allocation and the exact stall
-        counter of the reference loop. The loop body is the inlined
-        :meth:`_allocate_uop` minus everything a branch-free on-template
-        uop cannot need: no branch record, no RAT checkpoint, no event
-        push, no per-uop FU-class/latency lookups (they come from the
-        :class:`~repro.core.block_cache.BlockTemplate`).
-        """
-        uops = bundle.uops
-        n = len(uops) - index         # the template starts at uops[index];
-        tn = template.n               # branches (and younger uops) take
-        if n > tn:                    # the per-uop path
-            n = tn
-        if n > budget:
-            n = budget
-        rob = self.rob
-        if len(rob) + n > self._rob_entries:
-            return 0
-        sched = self.sched_heap
-        if len(sched) + n > self._sched_entries:
-            return 0
-        lp = template.loads_prefix
-        nloads = lp[n]
-        if nloads and self.load_count + nloads > self._lq_entries:
-            return 0
-        sp = template.stores_prefix
-        nstores = sp[n]
-        if nstores and self.store_count + nstores > self._sq_entries:
-            return 0
-        if self._refill_cell is not None:
-            self._refill_cell = None
-        if self._collect:
-            if uops[index].wrong_path:
-                self._c_cpi_wrong_path.value += n
-            else:
-                self._c_cpi_base.value += n
-        rename = self.rename
-        rat = rename._rat
-        ready_map = rename._ready
-        ready_get = ready_map.get
-        next_tag = rename._next_tag
-        schedule = self.exec.schedule
-        dload = self.hierarchy.dload
-        dstore = self.hierarchy.dstore
-        dtlb_access = self.dtlb.access
-        agen = self._agen_latency
-        heappush = heapq.heappush
-        rob_append = rob.append
-        obs = self._obs
-        kinds = template.kind
-        fus = template.fu
-        lats = template.lat
-        dests = template.dest
-        s1a = template.src1_arch
-        s1l = template.src1_local
-        s2a = template.src2_arch
-        s2l = template.src2_local
-        # completion cycles of the uops allocated *in this call*, indexed
-        # by template position: every in-block dependence link points at
-        # a position in this same call (the template starts at this very
-        # uop), so producers from an earlier call (a bundle split across
-        # allocation cycles) always appear as arch sources and go through
-        # the RAT like the reference
-        done_local = self._done_scratch
-        base_ready = now + 1
-        for i in range(n):
-            du = uops[index + i]
-            ready = base_ready
-            a = s1a[i]
-            if a >= 0:
-                p = s1l[i]
-                r = done_local[p] if p >= 0 else ready_get(rat[a], 0)
-                if r > ready:
-                    ready = r
-            a = s2a[i]
-            if a >= 0:
-                p = s2l[i]
-                r = done_local[p] if p >= 0 else ready_get(rat[a], 0)
-                if r > ready:
-                    ready = r
-            issue = schedule(fus[i], ready)
-            kind = kinds[i]
-            if kind == 0:
-                done = issue + lats[i]
-            elif kind == 1:
-                agen_done = issue + agen
-                addr = du.mem_addr
-                done = agen_done + dload(addr, agen_done) \
-                    + dtlb_access(addr)
-                self.load_count += 1
-            else:
-                done = issue + agen
-                dstore(du.mem_addr, done)
-                self.store_count += 1
-            d = dests[i]
-            if d >= 0:
-                rat[d] = next_tag
-                ready_map[next_tag] = done
-                next_tag += 1
-            du.done_cycle = done
-            done_local[i] = done
-            rob_append(du)
-            heappush(sched, issue)
-            if obs is not None:
-                # identical event stream to per-uop emission, including
-                # the intermediate occupancy arguments
-                obs.on_allocate(now, du, len(rob), len(sched))
-        rename._next_tag = next_tag
-        head[1] = index + n
-        return n
 
     def _allocate_uop(self, du: DynUop) -> None:
         now = self.now
@@ -1258,11 +1111,10 @@ class OoOCore:
         """Drain the contiguous ready ROB prefix in one batched pass.
 
         Counter deltas (retired count, load/store queue releases) are
-        accumulated in locals and flushed once, mirroring
-        ``_allocate_block``. The flush also happens *before*
-        ``_cross_warmup`` when the warmup target lands mid-batch, so the
-        warmup-boundary stats snapshot sees exactly the per-uop state
-        the unbatched loop maintained.
+        accumulated in locals and flushed once. The flush also happens
+        *before* ``_cross_warmup`` when the warmup target lands
+        mid-batch, so the warmup-boundary stats snapshot sees exactly
+        the per-uop state the unbatched loop maintained.
         """
         rob = self.rob
         now = self.now

@@ -101,6 +101,9 @@ class TestParser:
         (["trace", "leela", "--cycles", "-5"], "--cycles"),
         (["trace", "leela", "--start", "-10"], "--start"),
         (["submit", "--buffers", "-2"], "--buffers"),
+        (["compare", "--workloads", ","], "--workloads"),
+        (["submit", "--kind", "run", "--workloads", ","], "--workloads"),
+        (["compare", "--workloads", "xz,bogus"], "--workloads"),
     ])
     def test_malformed_windows_and_specs_exit_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:

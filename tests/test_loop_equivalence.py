@@ -51,6 +51,20 @@ def fingerprint(core):
     }
 
 
+def spy_fetch_one(core):
+    """Count ``core``'s per-uop fetches: returns a one-item list that
+    holds the running number of ``_fetch_one`` calls."""
+    calls = [0]
+    fetch_one = core.fetch._fetch_one
+
+    def counted(now):
+        calls[0] += 1
+        return fetch_one(now)
+
+    core.fetch._fetch_one = counted
+    return calls
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("config_key", ["base", "apf"])
 class TestLoopEquivalence:
@@ -158,20 +172,22 @@ class TestLoopEquivalence:
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("config_key", ["base", "apf"])
 class TestBlockFastPath:
-    """The block-grain frontend fast path (batchable bundles, block
-    templates, batch ROB allocation) is a pure optimization: forcing it
-    off must reproduce every cycle and counter bit-exactly."""
+    """The block-grain fetch fast path (each straight-line run of a fetch
+    group built in one step, with no per-uop control-flow checks) is a
+    pure optimization: forcing it off must reproduce every cycle and
+    counter bit-exactly."""
 
     def test_fast_path_off_is_bit_identical(self, workload, config_key):
         fast = make_core(workload, config_key)
+        fast_calls = spy_fetch_one(fast)
         fast.run(TOTAL)
-        # the run must actually have exercised the fast path, or this
-        # test proves nothing
-        assert len(fast.block_cache) > 0
         slow = make_core(workload, config_key)
         slow.fetch.use_block_fast_path = False
+        slow_calls = spy_fetch_one(slow)
         slow.run(TOTAL)
-        assert len(slow.block_cache) == 0
+        # the fast run must actually have built runs without per-uop
+        # fetches, or this test proves nothing
+        assert fast_calls[0] < slow_calls[0]
         assert fingerprint(slow) == fingerprint(fast)
 
     def test_fast_path_off_matches_reference_loop(self, workload,
@@ -208,9 +224,9 @@ class TestBlockFastPath:
 
     def test_obs_event_stream_identical_across_fast_path(self, workload,
                                                          config_key):
-        """Block-batched allocation must replay the exact per-uop event
-        stream: every recorded event tuple and every occupancy histogram
-        matches the per-uop reference path."""
+        """Run-built bundles must replay the exact per-uop event stream:
+        every recorded event tuple and every occupancy histogram matches
+        the per-uop reference path."""
         from repro.obs import EventRecorder
         streams = {}
         for fp in (True, False):
@@ -228,9 +244,8 @@ class TestBlockFastPath:
 
     def test_apf_restores_fire_with_fast_path_on(self, workload,
                                                  config_key):
-        """The APF capture/restore boundary is a fast-path fallback
-        trigger; restores must still fire (and agree with the per-uop
-        path) when batch allocation is active."""
+        """Restores must still fire (and agree with the per-uop path)
+        when fetch builds straight-line runs."""
         if config_key != "apf":
             pytest.skip("restore boundary only exists with APF on")
         fast = make_core(workload, config_key)
@@ -379,12 +394,15 @@ def check_invariants(core, width):
 @example(config=ZERO_RAS, workload="leela")
 def test_fuzzed_configs_agree_across_drivers(config, workload):
     """Both loop drivers agree bit for bit on any valid configuration,
-    and every run keeps the simulator invariants."""
+    and every run keeps the simulator invariants. The reference driver
+    also fetches uop by uop, so the fuzz checks the fetch fast path's
+    runs too."""
     program = build_workload(workload)
     trace = workload_trace(workload, FUZZ_TOTAL)
     fingerprints = {}
     for cycle_by_cycle in (True, False):
         core = OoOCore(config, program, trace, seed=SEED)
+        core.fetch.use_block_fast_path = not cycle_by_cycle
         core.run(FUZZ_TOTAL, cycle_by_cycle=cycle_by_cycle)
         check_invariants(core, config.backend.allocate_width)
         fingerprints[cycle_by_cycle] = fingerprint(core)

@@ -1,8 +1,11 @@
 """TAGE-SC-L predictor tests: learning, confidence, loop prediction."""
 
+import pytest
+
 from repro.branch.history import SpeculativeHistory
 from repro.branch.tage import CONF_HIGH, CONF_LOW, TageSCL, _geometric_lengths
-from repro.common.config import TageConfig
+from repro.common.config import (TageConfig, paper_core_config,
+                                 small_core_config)
 from repro.common.rng import DeterministicRng
 
 
@@ -39,6 +42,41 @@ class TestGeometricLengths:
     def test_single_table(self):
         cfg = TageConfig(num_tables=1, min_history=6)
         assert _geometric_lengths(cfg) == [6]
+
+    @pytest.mark.parametrize("fields, named", [
+        (dict(num_tables=6, min_history=4, max_history=8), "num_tables"),
+        (dict(num_tables=10, min_history=4, max_history=8), "num_tables"),
+        (dict(min_history=0), "min_history"),
+        (dict(num_tables=0), "num_tables"),
+        (dict(min_history=9, max_history=8), "max_history"),
+    ])
+    def test_refuses_lengths_the_history_cannot_hold(self, fields, named):
+        with pytest.raises(ValueError, match=rf"^TageConfig\.{named} "):
+            _geometric_lengths(TageConfig(**fields))
+        with pytest.raises(ValueError, match=rf"^TageConfig\.{named} "):
+            TageSCL(TageConfig(**fields))
+
+    def test_valid_geometries_span_the_history_exactly(self):
+        """Every valid geometry's lengths start at ``min_history``, rise
+        strictly and end at ``max_history`` (one table: ``min_history``),
+        so none outgrows the ``max_history``-bit history register."""
+        for low in range(1, 20):
+            for high in set(range(low, low + 24)) | {64, 128, 256, 299}:
+                for tables in range(1, min(20, high - low + 1) + 1):
+                    cfg = TageConfig(num_tables=tables, min_history=low,
+                                     max_history=high)
+                    lengths = _geometric_lengths(cfg)
+                    assert len(lengths) == tables, cfg
+                    assert lengths[0] == low, cfg
+                    assert lengths[-1] == (high if tables > 1 else low), cfg
+                    assert all(b > a for a, b in zip(lengths, lengths[1:])), \
+                        cfg
+
+    def test_scale_configs_keep_their_lengths(self):
+        assert _geometric_lengths(small_core_config().tage) == \
+            [4, 8, 16, 32, 64, 128]
+        assert _geometric_lengths(paper_core_config().tage) == \
+            [4, 7, 13, 24, 43, 78, 141, 256]
 
 
 class TestLearning:
