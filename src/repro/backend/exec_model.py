@@ -10,68 +10,41 @@ they were predicted.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.common.config import BackendConfig
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import FU_NAMES
 
 __all__ = ["ExecModel"]
 
-_FU_CLASS = {
-    Op.MUL: "mul",
-    Op.DIV: "div",
-    Op.MOD: "div",
-    Op.LOAD: "load",
-    Op.STORE: "store",
-    Op.BEQZ: "branch",
-    Op.BNEZ: "branch",
-    Op.BLT: "branch",
-    Op.BGE: "branch",
-    Op.JUMP: "branch",
-    Op.CALL: "branch",
-    Op.RET: "branch",
-    Op.IJUMP: "branch",
-}
-
 
 class ExecModel:
+    """Per-class ports, latencies and issue slots, each a list indexed by
+    a uop's execution class (``StaticUop.fu``, one of the ``FU_*`` ints)."""
+
     def __init__(self, config: BackendConfig) -> None:
         self.config = config
-        self._ports: Dict[str, int] = {
-            "alu": config.int_alu_units,
-            "mul": config.mul_units,
-            "div": config.div_units,
-            "load": config.load_ports,
-            "store": config.store_ports,
-            "branch": config.branch_units,
-        }
-        self._latency: Dict[str, int] = {
-            "alu": config.alu_latency,
-            "mul": config.mul_latency,
-            "div": config.div_latency,
-            "load": config.agen_latency,   # cache latency added by caller
-            "store": config.agen_latency,
-            "branch": config.alu_latency,
-        }
+        # in FU_NAMES order: alu, mul, div, load, store, branch
+        self._ports = [config.int_alu_units, config.mul_units,
+                       config.div_units, config.load_ports,
+                       config.store_ports, config.branch_units]
+        self._latency = [config.alu_latency, config.mul_latency,
+                         config.div_latency,
+                         config.agen_latency,   # cache latency added by caller
+                         config.agen_latency, config.alu_latency]
         self._issue_width = config.issue_width
         # per-FU-class and total issue counts, as grow-on-demand lists
         # indexed by ``cycle - _base`` (integer-keyed dicts lose to flat
         # lists on this, the backend's hottest probe loop). ``_base`` is
         # rebased lazily on the first reservation after construction,
         # clear() or restore(), so long quiesced gaps cost nothing.
-        self._fu_slots: Dict[str, list] = {fu: [] for fu in self._ports}
+        self._fu_slots = [[] for _ in FU_NAMES]
         self._issued: list = []
         self._base = -1
         self._horizon = 0
 
-    @staticmethod
-    def fu_class(op: Op) -> str:
-        return _FU_CLASS.get(op, "alu")
-
-    def latency(self, fu: str) -> int:
+    def latency(self, fu: int) -> int:
         return self._latency[fu]
 
-    def schedule(self, fu: str, ready_cycle: int) -> int:
+    def schedule(self, fu: int, ready_cycle: int) -> int:
         """Reserve the earliest issue slot at/after ``ready_cycle``."""
         base = self._base
         if base < 0 or ready_cycle < base:
@@ -86,14 +59,14 @@ class ExecModel:
         if i >= n:
             grow = i + 1 - n
             issued.extend([0] * grow)
-            for lst in self._fu_slots.values():
+            for lst in self._fu_slots:
                 lst.extend([0] * grow)
             n = i + 1
         while slots[i] >= ports or issued[i] >= width:
             i += 1
             if i >= n:
                 issued.append(0)
-                for lst in self._fu_slots.values():
+                for lst in self._fu_slots:
                     lst.append(0)
                 n += 1
         slots[i] += 1
@@ -115,7 +88,7 @@ class ExecModel:
             return
         pad = [0] * (base - at_cycle)
         self._issued[:0] = pad
-        for fu, lst in self._fu_slots.items():
+        for lst in self._fu_slots:
             lst[:0] = list(pad)
         self._base = at_cycle
 
@@ -135,20 +108,21 @@ class ExecModel:
     def clear(self) -> None:
         """Drop all reservations (pipeline quiesce: in-flight uops are
         squashed, so their future issue slots must be released)."""
-        for slots in self._fu_slots.values():
+        for slots in self._fu_slots:
             slots.clear()
         self._issued.clear()
         self._base = -1
         self._horizon = 0
 
     def snapshot(self) -> dict:
-        # externalised as sparse {cycle: count} dicts — the stable format
-        # the loop-equivalence suite compares across driver variants,
-        # independent of the internal array anchoring
+        # externalised as sparse {cycle: count} dicts keyed by FU name —
+        # the stable format the loop-equivalence suite compares across
+        # driver variants, independent of the internal array anchoring
         base = self._base
         return {
-            "fu_slots": {fu: {base + i: v for i, v in enumerate(slots) if v}
-                         for fu, slots in self._fu_slots.items()},
+            "fu_slots": {name: {base + i: v
+                                for i, v in enumerate(slots) if v}
+                         for name, slots in zip(FU_NAMES, self._fu_slots)},
             "issued": {base + i: v
                        for i, v in enumerate(self._issued) if v},
             "horizon": self._horizon,
@@ -169,11 +143,12 @@ class ExecModel:
         self._issued = lst = [0] * span
         for cyc, v in issued.items():
             lst[cyc - base] = v
-        self._fu_slots = {}
-        for fu in self._ports:
-            self._fu_slots[fu] = lst = [0] * span
-            for cyc, v in state["fu_slots"].get(fu, {}).items():
+        self._fu_slots = []
+        for name in FU_NAMES:
+            lst = [0] * span
+            for cyc, v in state["fu_slots"].get(name, {}).items():
                 lst[cyc - base] = v
+            self._fu_slots.append(lst)
         self._horizon = state["horizon"]
 
     def trim(self, before_cycle: int) -> None:
@@ -184,6 +159,6 @@ class ExecModel:
         if cut > len(self._issued):
             cut = len(self._issued)
         del self._issued[:cut]
-        for slots in self._fu_slots.values():
+        for slots in self._fu_slots:
             del slots[:cut]
         self._base += cut

@@ -31,16 +31,14 @@ _PREDICTIONS: dict = {}
 class Prediction:
     """Result of a conditional-branch direction prediction."""
 
-    __slots__ = ("taken", "confidence", "provider")
+    __slots__ = ("taken", "confidence", "provider", "low_confidence")
 
     def __init__(self, taken: bool, confidence: int, provider: str) -> None:
         self.taken = taken
         self.confidence = confidence
         self.provider = provider
-
-    @property
-    def low_confidence(self) -> bool:
-        return self.confidence == CONF_LOW
+        # read on every fetched branch (APF's Section V-D2 signal)
+        self.low_confidence = confidence == CONF_LOW
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Prediction(taken={self.taken}, conf={self.confidence}, "

@@ -348,9 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
                           default="compare",
                           help="request kind when building from flags "
                                "(default compare)")
-    submit_p.add_argument("--workloads", type=_workload_list,
-                          default="leela,deepsjeng,tc",
-                          help="comma-separated list, or 'all'/'spec'/'gap'")
+    submit_p.add_argument("--workloads", type=_workload_list, default=None,
+                          help="comma-separated list, or 'all'/'spec'/'gap' "
+                               "(default leela,deepsjeng,tc; a run takes "
+                               "one workload, default leela)")
     submit_p.add_argument("--warmup", type=_at_least(0), default=None)
     submit_p.add_argument("--measure", type=_at_least(1), default=None)
     submit_p.add_argument("--seed", type=int, default=1234)
@@ -804,7 +805,7 @@ def _cmd_serve(args) -> int:
 def _request_from_args(args) -> dict:
     base_spec = _spec_from_args(args, apf=False)
     apf_spec = _spec_from_args(args, apf=True)
-    workloads = args.workloads
+    workloads = args.workloads or ["leela", "deepsjeng", "tc"]
     doc: Dict[str, object] = {
         "kind": args.kind,
         "warmup": args.warmup,
@@ -1034,6 +1035,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if hasattr(args, "depth"):
             # the APF flags obey the service's spec rules, even unused
             config_from_args(args, apf=True)
+        if args.command == "submit" and args.kind == "run" \
+                and args.workloads is not None and len(args.workloads) > 1:
+            parser.error(f"argument --workloads: a run request takes one "
+                         f"workload, got {len(args.workloads)} "
+                         f"({','.join(args.workloads)})")
     except RequestError as exc:
         parser.error(f"argument --{exc.field}: {exc}")
     except ValueError as exc:

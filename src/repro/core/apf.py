@@ -33,6 +33,16 @@ from repro.core.uops import BufferedUop, InflightBranch
 
 __all__ = ["APFEngine", "APFJob", "AlternatePathBuffer"]
 
+# Enum members bound once as module names: on Python 3.11 and older
+# EnumType defines ``__getattr__``, which sends every ``Op.X`` and
+# ``BranchKind.X`` read through a slow lookup hook, so the per-uop paths
+# compare against these (docs/ARCHITECTURE.md §8.4)
+_HALT = Op.HALT
+_CONDITIONAL = BranchKind.CONDITIONAL
+_DIRECT_JUMP = BranchKind.DIRECT_JUMP
+_CALL = BranchKind.CALL
+_RETURN = BranchKind.RETURN
+
 
 class APFJob:
     """One alternate path being fetched by the APF pipeline."""
@@ -94,6 +104,9 @@ class APFEngine:
         self.buffers: List[Optional[AlternatePathBuffer]] = \
             [None] * config.num_buffers
         self.dpip_pending: Optional[InflightBranch] = None
+        #: DPIP (Section IV) rather than APF: fixed by the config, read on
+        #: every new branch and every APF cycle
+        self.is_dpip = config.mode == AlternatePathMode.DPIP
         # hot-path aliases and stat cells
         self._fe_width = frontend_config.width
         self._pipeline_depth = config.pipeline_depth
@@ -133,10 +146,6 @@ class APFEngine:
         self._c_captured_live = stats.counter("apf_captured_live")
 
     # -- bookkeeping ---------------------------------------------------------
-
-    @property
-    def is_dpip(self) -> bool:
-        return self.config.mode == AlternatePathMode.DPIP
 
     def pipeline_busy(self) -> bool:
         return self.active_job is not None or self.held_job is not None
@@ -383,7 +392,7 @@ class APFEngine:
                 job.dead = True
                 break
             su = uops[index]
-            if su.op is Op.HALT:
+            if su.op is _HALT:
                 job.dead = True
                 break
             half_line = pc >> 5
@@ -447,7 +456,7 @@ class APFEngine:
         predictor bank conflict stalls the APF pipeline this cycle."""
         self._shadow_taken = False
         kind = su.kind
-        if kind is BranchKind.CONDITIONAL:
+        if kind is _CONDITIONAL:
             if not self._bank_checked:
                 # the alternate path's single predictor access this cycle
                 if self.bu.bank_of(su.pc) in blocked_tage_banks:
@@ -477,8 +486,8 @@ class APFEngine:
             job.pc = bu.predicted_target
             self._shadow_taken = pred.taken
             return True
-        if kind in (BranchKind.DIRECT_JUMP, BranchKind.CALL):
-            if kind is BranchKind.CALL:
+        if kind is _DIRECT_JUMP or kind is _CALL:
+            if kind is _CALL:
                 job.shadow_ras.push(su.fallthrough)
             job.uops.append(BufferedUop(
                 su, predicted_taken=True, predicted_target=su.target,
@@ -489,7 +498,7 @@ class APFEngine:
             job.pc = su.target
             self._shadow_taken = True
             return True
-        if kind is BranchKind.RETURN:
+        if kind is _RETURN:
             target = job.shadow_ras.pop()
             if target is None:
                 job.terminated = True

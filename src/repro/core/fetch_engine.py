@@ -35,6 +35,16 @@ __all__ = ["Bundle", "BranchUnit", "MainFetchEngine", "STALL_BTB",
 _MASK64 = (1 << 64) - 1
 _FALSE_REPEAT = repeat(False)
 
+# Enum members bound once as module names: on Python 3.11 and older
+# EnumType defines ``__getattr__``, which sends every ``Op.X`` and
+# ``BranchKind.X`` read through a slow lookup hook, so the per-uop paths
+# compare against these (docs/ARCHITECTURE.md §8.4)
+_HALT = Op.HALT
+_CONDITIONAL = BranchKind.CONDITIONAL
+_DIRECT_JUMP = BranchKind.DIRECT_JUMP
+_CALL = BranchKind.CALL
+_RETURN = BranchKind.RETURN
+
 # Why fetch is parked until ``stall_until`` — the core's CPI-stack
 # accounting maps these to frontend leaves. Updated whenever a stall
 # source *extends* the window, so the cause always names the binding
@@ -356,7 +366,7 @@ class MainFetchEngine:
         wrong_path = self.wrong_path
         if wrong_path:
             su = self.program.uop_at(self.pc)
-            if su is None or su.op is Op.HALT:
+            if su is None or su.op is _HALT:
                 self.dead = True
                 return None
             trace_index = -1
@@ -422,7 +432,7 @@ class MainFetchEngine:
         kind = su.kind
         rec = self._make_record(du, now)
 
-        if kind is BranchKind.CONDITIONAL:
+        if kind is _CONDITIONAL:
             history = self.history
             pred = self._predict(su.pc, history.ghr, history.path,
                                  history.folds)
@@ -450,10 +460,10 @@ class MainFetchEngine:
                 self.cursor += 1
             return
 
-        if kind in (BranchKind.DIRECT_JUMP, BranchKind.CALL):
+        if kind is _DIRECT_JUMP or kind is _CALL:
             rec.predicted_taken = True
             rec.predicted_target = su.target
-            if kind is BranchKind.CALL:
+            if kind is _CALL:
                 self.ras.push(su.fallthrough)
             self._check_btb(su, now)
             self._bundle_ended = True
@@ -463,7 +473,7 @@ class MainFetchEngine:
                 self.cursor += 1
             return
 
-        if kind is BranchKind.RETURN:
+        if kind is _RETURN:
             target = self.ras.pop()
             rec.predicted_taken = True
             rec.predicted_target = target if target is not None else -1

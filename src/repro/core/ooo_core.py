@@ -31,7 +31,7 @@ from repro.branch.tage import TageSCL
 from repro.common.config import CoreConfig, FetchScheme
 from repro.common.statistics import StatGroup
 from repro.frontend.rename import RenameTable
-from repro.isa.opcodes import BranchKind, Op
+from repro.isa.opcodes import BranchKind
 from repro.memory.cache import CacheHierarchy
 from repro.memory.tlb import TLB
 from repro.workloads.program import Program
@@ -49,10 +49,17 @@ from repro.core.uops import BufferedUop, DynUop, InflightBranch
 
 __all__ = ["OoOCore"]
 
+# kinds bound once as module names: on Python 3.11 and older EnumType
+# defines ``__getattr__``, which sends every ``BranchKind.X`` read through
+# a slow lookup hook, so the per-uop paths compare against these
+# (docs/ARCHITECTURE.md §8.4)
+_CONDITIONAL = BranchKind.CONDITIONAL
+_RETURN = BranchKind.RETURN
+_INDIRECT = BranchKind.INDIRECT
+
 #: branch kinds that resolve through the event heap (everything that can
 #: mispredict: direct jumps/calls never enqueue a resolution event)
-_EVENT_KINDS = (BranchKind.CONDITIONAL, BranchKind.RETURN,
-                BranchKind.INDIRECT)
+_EVENT_KINDS = (_CONDITIONAL, _RETURN, _INDIRECT)
 
 
 def _materialize_ras(main_snapshot: Tuple[int, ...],
@@ -459,11 +466,10 @@ class OoOCore:
                 if best is None or t < best:
                     best = t
             else:
-                op = pending.static.op
-                if op is Op.LOAD and self.load_count >= self._lq_entries:
+                su = pending.static
+                if su.is_load and self.load_count >= self._lq_entries:
                     self._stall_cell = self._c_stall_lq
-                elif op is Op.STORE \
-                        and self.store_count >= self._sq_entries:
+                elif su.is_store and self.store_count >= self._sq_entries:
                     self._stall_cell = self._c_stall_sq
                 else:
                     return horizon
@@ -543,7 +549,7 @@ class OoOCore:
                     # is retire-bandwidth limited (never true inside a
                     # window — completion is a wake source)
                     self._c_cpi_retire_bw.value += total
-                elif du.static.op is Op.LOAD:
+                elif du.static.is_load:
                     # cycles further than a full on-chip hit chain from
                     # the head load's completion are DRAM-bound
                     dram_last = done - self._dram_bound_lat - 1
@@ -561,11 +567,10 @@ class OoOCore:
             elif len(self.sched_heap) >= self._sched_entries:
                 self._c_cpi_be_sched.value += total
             else:
-                op = pending.static.op
-                if op is Op.LOAD and self.load_count >= self._lq_entries:
+                su = pending.static
+                if su.is_load and self.load_count >= self._lq_entries:
                     self._c_cpi_be_lq.value += total
-                elif op is Op.STORE \
-                        and self.store_count >= self._sq_entries:
+                elif su.is_store and self.store_count >= self._sq_entries:
                     self._c_cpi_be_sq.value += total
                 else:
                     # unreachable by _allocate's postcondition (a ready
@@ -829,7 +834,7 @@ class OoOCore:
         if rec.is_conditional:
             fetch.history.push(rec.actual_taken, rec.pc)
         fetch.ras.restore(rec.ras_checkpoint)
-        if rec.kind is BranchKind.RETURN:
+        if rec.kind is _RETURN:
             fetch.ras.pop()
         fetch.redirect_on_trace(rec.recovery_cursor, self.now)
 
@@ -838,9 +843,10 @@ class OoOCore:
         while rob and rob[-1].seq > seq:
             du = rob.pop()
             du.squashed = True
-            if du.static.op is Op.LOAD:
+            su = du.static
+            if su.is_load:
                 self.load_count -= 1
-            elif du.static.op is Op.STORE:
+            elif su.is_store:
                 self.store_count -= 1
         ftq = self.ftq
         while ftq:
@@ -960,7 +966,7 @@ class OoOCore:
             rec.actual_next_pc = trace.next_pc[trace_index]
             if su.is_cond_branch:
                 rec.mispredict = bu.predicted_taken != rec.actual_taken
-            elif su.kind in (BranchKind.RETURN, BranchKind.INDIRECT):
+            elif su.kind is _RETURN or su.kind is _INDIRECT:
                 rec.mispredict = bu.predicted_target != rec.actual_next_pc
         if self.apf is not None:
             if self.apf.is_dpip:
@@ -1000,12 +1006,12 @@ class OoOCore:
                 if collect:
                     self._c_stall_sched.value += 1
                 return
-            op = du.static.op
-            if op is Op.LOAD and self.load_count >= self._lq_entries:
+            su = du.static
+            if su.is_load and self.load_count >= self._lq_entries:
                 if collect:
                     self._c_stall_lq.value += 1
                 return
-            if op is Op.STORE and self.store_count >= self._sq_entries:
+            if su.is_store and self.store_count >= self._sq_entries:
                 if collect:
                     self._c_stall_sq.value += 1
                 return
@@ -1032,12 +1038,12 @@ class OoOCore:
                 if collect:
                     self._c_stall_sched.value += 1
                 return
-            op = du.static.op
-            if op is Op.LOAD and self.load_count >= self._lq_entries:
+            su = du.static
+            if su.is_load and self.load_count >= self._lq_entries:
                 if collect:
                     self._c_stall_lq.value += 1
                 return
-            if op is Op.STORE and self.store_count >= self._sq_entries:
+            if su.is_store and self.store_count >= self._sq_entries:
                 if collect:
                     self._c_stall_sq.value += 1
                 return
@@ -1076,16 +1082,15 @@ class OoOCore:
             rec.rat_checkpoint = rename.checkpoint()
             rec.allocated = True
         exec_model = self.exec
-        op = su.op
-        fu = exec_model.fu_class(op)
+        fu = su.fu
         issue = exec_model.schedule(fu, ready)
-        if op is Op.LOAD:
+        if su.is_load:
             agen_done = issue + self._agen_latency
             latency = self.hierarchy.dload(du.mem_addr, agen_done)
             latency += self.dtlb.access(du.mem_addr)
             done = agen_done + latency
             self.load_count += 1
-        elif op is Op.STORE:
+        elif su.is_store:
             done = issue + self._agen_latency
             self.hierarchy.dstore(du.mem_addr, done)
             self.store_count += 1
@@ -1135,10 +1140,10 @@ class OoOCore:
             ticks += 1
             if obs is not None:
                 obs.on_retire(now, du)
-            op = du.static.op
-            if op is Op.LOAD:
+            su = du.static
+            if su.is_load:
                 loads += 1
-            elif op is Op.STORE:
+            elif su.is_store:
                 stores += 1
             rec = du.branch
             if rec is not None:
@@ -1182,7 +1187,7 @@ class OoOCore:
 
     def _finalize_branch(self, rec: InflightBranch) -> None:
         kind = rec.kind
-        if kind is BranchKind.CONDITIONAL:
+        if kind is _CONDITIONAL:
             self._c_cond_branches.value += 1
             su = rec.uop
             backward = 0 <= su.target < su.pc
@@ -1202,13 +1207,13 @@ class OoOCore:
                 self._c_lowconf_marked.value += 1
                 if mispredict:
                     self._c_lowconf_marked_mis.value += 1
-        elif kind is BranchKind.INDIRECT:
+        elif kind is _INDIRECT:
             self._c_indirect_branches.value += 1
             self.branch_unit.indirect.update(
                 rec.pc, rec.ghr_at_predict, rec.actual_next_pc)
             if rec.mispredict:
                 self._c_indirect_mispredicts.value += 1
-        elif kind is BranchKind.RETURN:
+        elif kind is _RETURN:
             self._c_returns.value += 1
             if rec.mispredict:
                 self._c_return_mispredicts.value += 1

@@ -9,6 +9,11 @@ from repro.isa.uop import StaticUop
 
 __all__ = ["DynUop", "InflightBranch", "BufferedUop"]
 
+# bound once as a module name: on Python 3.11 and older EnumType defines
+# ``__getattr__``, which sends every ``BranchKind.X`` read through a slow
+# lookup hook (docs/ARCHITECTURE.md §8.4)
+_CONDITIONAL = BranchKind.CONDITIONAL
+
 
 class DynUop:
     """One fetched uop instance travelling through the pipeline."""
@@ -50,6 +55,7 @@ class InflightBranch:
         "rat_checkpoint",
         "h2p_marked", "low_conf", "apf_job", "apf_buffer",
         "resolved", "squashed", "allocated", "fetch_cycle", "dpip_eligible",
+        "is_conditional",
     )
 
     def __init__(self, seq: int, uop: StaticUop, kind: BranchKind,
@@ -57,6 +63,7 @@ class InflightBranch:
         self.seq = seq
         self.uop = uop
         self.kind = kind
+        self.is_conditional = kind is _CONDITIONAL
         self.pc = uop.pc
         self.on_trace = on_trace
         self.recovery_cursor = -1          # trace index after this branch
@@ -82,10 +89,6 @@ class InflightBranch:
         self.allocated = False
         self.fetch_cycle = fetch_cycle
         self.dpip_eligible = True
-
-    @property
-    def is_conditional(self) -> bool:
-        return self.kind is BranchKind.CONDITIONAL
 
     def has_alternate_path(self) -> bool:
         return self.apf_job is not None or self.apf_buffer is not None

@@ -53,12 +53,15 @@ class RenameTable:
         self._rat = list(snapshot)
 
     def settle(self, cycle: int) -> None:
-        """Cap all scoreboard ready times at ``cycle`` (pipeline quiesce:
-        values of squashed producers are treated as architecturally
-        available now)."""
-        for tag, ready in self._ready.items():
-            if ready > cycle:
-                self._ready[tag] = cycle
+        """Keep only the RAT's tags on the scoreboard, each ready by
+        ``cycle`` at the latest (pipeline quiesce: with no uop in flight
+        and no checkpoint left, no other tag can be read again, and the
+        values of squashed producers are architecturally available now).
+        This also bounds the scoreboard, which gains a tag per renamed
+        destination, at every quiesce."""
+        ready = self._ready
+        self._ready = {tag: min(ready.get(tag, 0), cycle)
+                       for tag in self._rat}
 
     def snapshot(self) -> dict:
         return {
@@ -73,10 +76,3 @@ class RenameTable:
         self._rat = list(state["rat"])
         self._ready = dict(state["ready"])
         self.checkpoints_taken = state["checkpoints_taken"]
-
-    def compact(self, min_live_tag: int) -> None:
-        """Drop scoreboard entries for tags below ``min_live_tag`` that are
-        no longer mapped (called occasionally to bound memory)."""
-        live = set(self._rat)
-        self._ready = {tag: cyc for tag, cyc in self._ready.items()
-                       if tag in live or tag >= min_live_tag}

@@ -11,7 +11,8 @@ from __future__ import annotations
 from enum import Enum, auto
 
 __all__ = ["Op", "BranchKind", "NUM_ARCH_REGS", "UOP_BYTES",
-           "MEMORY_OPS", "BRANCH_OPS", "EXEC_LATENCY_CLASS"]
+           "MEMORY_OPS", "BRANCH_OPS", "FU_NAMES", "FU_ALU", "FU_MUL",
+           "FU_DIV", "FU_LOAD", "FU_STORE", "FU_BRANCH", "EXEC_CLASS"]
 
 NUM_ARCH_REGS = 32
 UOP_BYTES = 4
@@ -74,14 +75,17 @@ BRANCH_OPS = frozenset(
     CONDITIONAL_OPS | {Op.JUMP, Op.CALL, Op.RET, Op.IJUMP})
 MEMORY_OPS = frozenset({Op.LOAD, Op.STORE})
 
-#: opcode -> latency class consumed by the execute stage
-EXEC_LATENCY_CLASS = {
-    Op.MUL: "mul",
-    Op.DIV: "div",
-    Op.MOD: "div",
-    Op.LOAD: "load",
-    Op.STORE: "store",
-}
+#: execution classes, named; ``StaticUop.fu`` holds the index, which the
+#: execute stage uses to reach its per-class ports, latencies and slots
+FU_NAMES = ("alu", "mul", "div", "load", "store", "branch")
+FU_ALU, FU_MUL, FU_DIV, FU_LOAD, FU_STORE, FU_BRANCH = range(len(FU_NAMES))
+
+#: opcode -> execution class: every branch on a branch unit, and every op
+#: not named here on an integer ALU
+EXEC_CLASS = {op: FU_ALU for op in Op}
+EXEC_CLASS.update({Op.MUL: FU_MUL, Op.DIV: FU_DIV, Op.MOD: FU_DIV,
+                   Op.LOAD: FU_LOAD, Op.STORE: FU_STORE})
+EXEC_CLASS.update(dict.fromkeys(BRANCH_OPS, FU_BRANCH))
 
 
 def branch_kind(op: Op) -> BranchKind:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.isa.opcodes import (
     BRANCH_OPS,
+    EXEC_CLASS,
     MEMORY_OPS,
     UOP_BYTES,
     BranchKind,
@@ -18,11 +19,16 @@ from repro.isa.opcodes import (
 
 __all__ = ["StaticUop"]
 
-#: op -> (kind, is_branch, is_cond_branch, is_mem), so building a uop is
-#: one lookup (a program loaded from a trace bundle builds thousands)
+#: op -> (kind, is_branch, is_cond_branch, is_mem, fu, is_load, is_store):
+#: every fact the timing core and the emulator dispatch on, decoded once
+#: per uop so the per-uop paths read plain attributes, never an Enum
+#: member or an Enum-keyed dict (docs/ARCHITECTURE.md §8.4); building a
+#: uop is one lookup (a program loaded from a trace bundle builds
+#: thousands)
 _TRAITS = {
     op: (branch_kind(op), op in BRANCH_OPS,
-         branch_kind(op) is BranchKind.CONDITIONAL, op in MEMORY_OPS)
+         branch_kind(op) is BranchKind.CONDITIONAL, op in MEMORY_OPS,
+         EXEC_CLASS[op], op is Op.LOAD, op is Op.STORE)
     for op in Op
 }
 
@@ -31,7 +37,8 @@ class StaticUop:
     """One instruction in the static program image."""
 
     __slots__ = ("pc", "op", "dest", "src1", "src2", "imm", "target",
-                 "kind", "is_branch", "is_cond_branch", "is_mem", "label")
+                 "kind", "is_branch", "is_cond_branch", "is_mem", "fu",
+                 "is_load", "is_store", "fallthrough", "label")
 
     def __init__(self, pc: int, op: Op, dest: int = -1, src1: int = -1,
                  src2: int = -1, imm: int = 0, target: int = -1,
@@ -43,13 +50,10 @@ class StaticUop:
         self.src2 = src2
         self.imm = imm
         self.target = target          # taken target for direct branches
-        (self.kind, self.is_branch, self.is_cond_branch,
-         self.is_mem) = _TRAITS[op]
+        (self.kind, self.is_branch, self.is_cond_branch, self.is_mem,
+         self.fu, self.is_load, self.is_store) = _TRAITS[op]
+        self.fallthrough = pc + UOP_BYTES
         self.label = label            # optional debugging tag
-
-    @property
-    def fallthrough(self) -> int:
-        return self.pc + UOP_BYTES
 
     def sources(self) -> tuple:
         """Architectural source registers read by this uop."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.isa.opcodes import NUM_ARCH_REGS, UOP_BYTES, Op
+from repro.isa.opcodes import NUM_ARCH_REGS, Op
 from repro.workloads.program import Program
 from repro.workloads.trace import DynamicTrace
 
@@ -21,6 +21,19 @@ __all__ = ["Emulator", "EmulationError"]
 
 _MASK64 = (1 << 64) - 1
 _WORD = 8
+
+# Op members bound once as module names: on Python 3.11 and older
+# EnumType defines ``__getattr__``, which sends every ``Op.X`` read
+# through a slow lookup hook, and the dispatch chain below compares each
+# emulated uop against up to 29 of them (docs/ARCHITECTURE.md §8.4)
+_ADD, _SUB, _AND, _OR, _XOR = Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR
+_SHL, _SHR, _CMPLT, _CMPEQ = Op.SHL, Op.SHR, Op.CMPLT, Op.CMPEQ
+_ADDI, _ANDI, _XORI = Op.ADDI, Op.ANDI, Op.XORI
+_SHRI, _MOVI, _MUL, _DIV, _MOD = Op.SHRI, Op.MOVI, Op.MUL, Op.DIV, Op.MOD
+_LOAD, _STORE = Op.LOAD, Op.STORE
+_BEQZ, _BNEZ, _BLT, _BGE = Op.BEQZ, Op.BNEZ, Op.BLT, Op.BGE
+_JUMP, _CALL, _RET, _IJUMP = Op.JUMP, Op.CALL, Op.RET, Op.IJUMP
+_NOP, _HALT = Op.NOP, Op.HALT
 
 
 class EmulationError(RuntimeError):
@@ -87,81 +100,81 @@ class Emulator:
                     f"{self.pc:#x} after {self.instructions_executed} uops")
             op = uop.op
             taken = False
-            next_pc = uop.pc + UOP_BYTES
+            next_pc = uop.fallthrough
             mem_addr = 0
 
-            if op is Op.ADD:
+            if op is _ADD:
                 regs[uop.dest] = (regs[uop.src1] + regs[uop.src2]) & _MASK64
-            elif op is Op.ADDI:
+            elif op is _ADDI:
                 regs[uop.dest] = (regs[uop.src1] + uop.imm) & _MASK64
-            elif op is Op.SUB:
+            elif op is _SUB:
                 regs[uop.dest] = (regs[uop.src1] - regs[uop.src2]) & _MASK64
-            elif op is Op.AND:
+            elif op is _AND:
                 regs[uop.dest] = regs[uop.src1] & regs[uop.src2]
-            elif op is Op.ANDI:
+            elif op is _ANDI:
                 regs[uop.dest] = regs[uop.src1] & (uop.imm & _MASK64)
-            elif op is Op.OR:
+            elif op is _OR:
                 regs[uop.dest] = regs[uop.src1] | regs[uop.src2]
-            elif op is Op.XOR:
+            elif op is _XOR:
                 regs[uop.dest] = regs[uop.src1] ^ regs[uop.src2]
-            elif op is Op.XORI:
+            elif op is _XORI:
                 regs[uop.dest] = regs[uop.src1] ^ (uop.imm & _MASK64)
-            elif op is Op.SHL:
+            elif op is _SHL:
                 regs[uop.dest] = (regs[uop.src1]
                                   << (regs[uop.src2] & 63)) & _MASK64
-            elif op is Op.SHR:
+            elif op is _SHR:
                 regs[uop.dest] = regs[uop.src1] >> (regs[uop.src2] & 63)
-            elif op is Op.SHRI:
+            elif op is _SHRI:
                 regs[uop.dest] = regs[uop.src1] >> (uop.imm & 63)
-            elif op is Op.CMPLT:
+            elif op is _CMPLT:
                 regs[uop.dest] = 1 if regs[uop.src1] < regs[uop.src2] else 0
-            elif op is Op.CMPEQ:
+            elif op is _CMPEQ:
                 regs[uop.dest] = 1 if regs[uop.src1] == regs[uop.src2] else 0
-            elif op is Op.MOVI:
+            elif op is _MOVI:
                 regs[uop.dest] = uop.imm & _MASK64
-            elif op is Op.MUL:
+            elif op is _MUL:
                 regs[uop.dest] = (regs[uop.src1] * regs[uop.src2]) & _MASK64
-            elif op is Op.DIV:
+            elif op is _DIV:
                 regs[uop.dest] = regs[uop.src1] // max(1, regs[uop.src2])
-            elif op is Op.MOD:
+            elif op is _MOD:
                 regs[uop.dest] = regs[uop.src1] % max(1, regs[uop.src2])
-            elif op is Op.LOAD:
+            elif op is _LOAD:
                 mem_addr = (regs[uop.src1] + uop.imm) & _MASK64
                 regs[uop.dest] = self.read_word(mem_addr)
-            elif op is Op.STORE:
+            elif op is _STORE:
                 mem_addr = (regs[uop.src1] + uop.imm) & _MASK64
                 self.write_word(mem_addr, regs[uop.src2])
-            elif op is Op.BEQZ:
+            elif op is _BEQZ:
                 taken = regs[uop.src1] == 0
-            elif op is Op.BNEZ:
+            elif op is _BNEZ:
                 taken = regs[uop.src1] != 0
-            elif op is Op.BLT:
+            elif op is _BLT:
                 taken = regs[uop.src1] < regs[uop.src2]
-            elif op is Op.BGE:
+            elif op is _BGE:
                 taken = regs[uop.src1] >= regs[uop.src2]
-            elif op is Op.JUMP:
+            elif op is _JUMP:
                 taken = True
-            elif op is Op.CALL:
+            elif op is _CALL:
                 taken = True
-                self.call_stack.append(uop.pc + UOP_BYTES)
-            elif op is Op.RET:
+                self.call_stack.append(uop.fallthrough)
+            elif op is _RET:
                 taken = True
                 if not self.call_stack:
                     raise EmulationError(
                         f"{program.name}: RET with empty call stack at "
                         f"{uop.pc:#x}")
                 next_pc = self.call_stack.pop()
-            elif op is Op.IJUMP:
+            elif op is _IJUMP:
                 taken = True
                 next_pc = regs[uop.src1] & _MASK64
-            elif op is Op.NOP:
+            elif op is _NOP:
                 pass
-            elif op is Op.HALT:
+            elif op is _HALT:
                 self.halted = True
             else:  # pragma: no cover - exhaustive over Op
                 raise EmulationError(f"unhandled opcode {op}")
 
-            if taken and op not in (Op.RET, Op.IJUMP):
+            if taken and op is not _RET and op is not _IJUMP:
                 next_pc = uop.target
             self.pc = next_pc
             self.instructions_executed += 1

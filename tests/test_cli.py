@@ -103,6 +103,8 @@ class TestParser:
         (["submit", "--buffers", "-2"], "--buffers"),
         (["compare", "--workloads", ","], "--workloads"),
         (["submit", "--kind", "run", "--workloads", ","], "--workloads"),
+        (["submit", "--kind", "run", "--workloads", "xz,leela"],
+         "--workloads"),
         (["compare", "--workloads", "xz,bogus"], "--workloads"),
     ])
     def test_malformed_windows_and_specs_exit_2(self, argv, flag, capsys):

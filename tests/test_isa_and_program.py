@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.isa.opcodes import BranchKind, Op, branch_kind
+from repro.isa.opcodes import FU_NAMES, UOP_BYTES, BranchKind, Op, branch_kind
 from repro.isa.uop import StaticUop
 from repro.workloads.program import CODE_BASE, Program, ProgramBuilder
 
@@ -32,7 +32,26 @@ class TestBranchKind:
         assert branch_kind(Op.LOAD) is BranchKind.NOT_BRANCH
 
 
+#: the execution class of every op whose class is not "alu": the table the
+#: execute stage kept before classes were decoded into ``StaticUop.fu``
+REFERENCE_FU = {
+    Op.MUL: "mul", Op.DIV: "div", Op.MOD: "div", Op.LOAD: "load",
+    Op.STORE: "store", Op.BEQZ: "branch", Op.BNEZ: "branch",
+    Op.BLT: "branch", Op.BGE: "branch", Op.JUMP: "branch",
+    Op.CALL: "branch", Op.RET: "branch", Op.IJUMP: "branch",
+}
+
+
 class TestStaticUop:
+    @pytest.mark.parametrize("op", list(Op), ids=lambda op: op.name)
+    def test_decoded_traits(self, op):
+        uop = StaticUop(0x2000, op, dest=1, src1=2, src2=3, target=0x40)
+        assert FU_NAMES[uop.fu] == REFERENCE_FU.get(op, "alu")
+        assert uop.is_load is (op is Op.LOAD)
+        assert uop.is_store is (op is Op.STORE)
+        assert uop.is_mem is (uop.is_load or uop.is_store)
+        assert uop.fallthrough == 0x2000 + UOP_BYTES
+
     def test_fallthrough(self):
         uop = StaticUop(0x1000, Op.ADD, dest=1, src1=2, src2=3)
         assert uop.fallthrough == 0x1004
